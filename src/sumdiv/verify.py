@@ -1,24 +1,23 @@
 """Exhaustive desk-scale verification sweeps and conjecture probes.
 
 Theorem targets report pass/fail with explicit counterexamples; conjecture
-probes only ever report evidence.  Sweeps over set masks are vectorized
-with numpy and may be partitioned across worker processes; aggregation is
-commutative, so results are independent of the worker count.
+probes only ever report evidence.  One pair-sieve table of divisor counts
+(numpy, imported only when a sweep runs) serves crlodd, crleven, odd2 and
+pi2; L15 checks it against direct deconvolution.  The L15 sweep and the
+crlodd promotion phase may be partitioned across worker processes;
+aggregation is commutative, so results are independent of the worker count.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import os
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import multiset, promotion
-from .errors import PreconditionError
-from .sets import FiniteSet, count_irreducible, interval
+from .errors import CapacityError, PreconditionError
+from .sets import FiniteSet, interval
 from .multiset import SetArray, setarray_divisor_count_formula
 
 THEOREM_TARGETS = ("crlodd", "crleven", "L15", "bases")
@@ -31,6 +30,20 @@ _DEFAULTS = {
     "bases": {"max_k": 5, "formula_max_element": 5, "formula_heights": (2, 3)},
     "odd2": {"max_k": 14},
     "pi2": {"max_k": 14},
+}
+
+# Upper bounds on the size parameters, checked before any work starts.  The
+# divisor table peaks near 200 MB at max_k = 22, and L15's direct side near
+# 100 MB per set at max_k = 20; bases keeps d for 3^(max_k+1) multisets
+# (50 MB at 10), and the promotion phase lists 2^(promotion_max_k+1) tasks
+# (240 MB at 20).
+_BOUNDS = {
+    "crlodd": {"max_k": 22, "promotion_max_k": 20},
+    "crleven": {"max_k": 22},
+    "L15": {"max_k": 20},
+    "bases": {"max_k": 10},
+    "odd2": {"max_k": 22},
+    "pi2": {"max_k": 22},
 }
 
 
@@ -76,22 +89,50 @@ def default_workers() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized divisor counting over bit masks.
+# Divisor counting over bit masks.
 
-def _zero_rooted_divisor_count(amask: int) -> int:
-    """d(a) for a 0-rooted mask: candidates are its odd submasks."""
-    pool = np.arange(1, 1 << amask.bit_length(), 2, dtype=np.int64)
-    cands = pool[(pool & ~amask) == 0]
-    prod = np.zeros_like(cands)
-    for c in range(amask.bit_length()):
-        sh = cands << c
-        prod |= np.where((sh & ~amask) == 0, sh, 0)
-    return int(np.count_nonzero(prod == amask))
+def _divisor_table(max_k: int):
+    """d(A) for every 0-rooted A with max(A) <= max_k, as a numpy array
+    indexed by mask; entries at even masks are 0.
+
+    A pair sieve: for each b, row i holds B_i + C for every 0-rooted C with
+    max(C) <= max_k - b, where B_i runs over the 0-rooted sets with max b.
+    The distinct entries of row i are exactly the sets B_i divides, so
+    counting them per set counts its divisors.  That is
+    (max_k + 1) * 2^(max_k - 1) pairs in all; masks are int32, so
+    max_k <= 30.
+    """
+    import numpy as np
+
+    size = 2 << max_k
+    table = np.zeros(size, dtype=np.int64)
+    for b in range(max_k + 1):
+        cs = np.arange(1, 2 << (max_k - b), 2, dtype=np.int32)
+        # Start from B = {0, b}; each element e in [1, b-1] doubles the rows.
+        rows = (cs | (cs << b))[np.newaxis, :]
+        for e in range(1, b):
+            rows = np.concatenate((rows, rows | (cs << e)))
+        rows.sort(axis=1)
+        distinct = np.ones(rows.shape, dtype=bool)
+        distinct[:, 1:] = rows[:, 1:] != rows[:, :-1]
+        table += np.bincount(rows[distinct], minlength=size)
+    return table
+
+
+def _general_table(table):
+    """d(A) for every nonempty A read off a _divisor_table, by the
+    translation lemma d(A) = (min A + 1) d(A - {min A})."""
+    general = table.copy()  # odd masks are their own cores
+    for r in range(1, (len(table) - 1).bit_length()):
+        general[1 << r :: 2 << r] = (r + 1) * table[1 : len(table) >> r : 2]
+    return general
 
 
 def _direct_divisor_count(amask: int) -> int:
     """d(a) with NO reduction to the 0-rooted core: every nonzero mask
     within the bounding box is tested by deconvolution directly."""
+    import numpy as np
+
     cands = np.arange(1, 1 << amask.bit_length(), dtype=np.int64)
     prod = np.zeros_like(cands)
     for c in range(amask.bit_length()):
@@ -100,35 +141,12 @@ def _direct_divisor_count(amask: int) -> int:
     return int(np.count_nonzero(prod == amask))
 
 
-def _general_divisor_count(amask: int, core_counts: dict[int, int]) -> int:
-    r = (amask & -amask).bit_length() - 1
-    return (r + 1) * core_counts[amask >> r]
-
-
-def _core_count_table(max_k: int) -> dict[int, int]:
-    """d for every 0-rooted mask with max element <= max_k."""
-    return {
-        m: _zero_rooted_divisor_count(m)
-        for m in range(1, 1 << (max_k + 1), 2)
-    }
-
-
 def _set_text(mask: int) -> str:
     return str(FiniteSet.from_mask(mask))
 
 
 # ---------------------------------------------------------------------------
 # Worker chunk functions (top-level for pickling).
-
-def _crlodd_chunk(args: tuple) -> list:
-    k, start, stop, limit, full_mask = args
-    bad = []
-    for mask in range(start | 1, stop, 2):
-        d = _zero_rooted_divisor_count(mask)
-        if d > limit or (d == limit and mask != full_mask):
-            bad.append({"set": _set_text(mask), "d": d, "limit": limit})
-    return bad
-
 
 def _promotion_chunk(tasks: list) -> list:
     bad = []
@@ -140,40 +158,35 @@ def _promotion_chunk(tasks: list) -> list:
 
 
 def _l15_chunk(args: tuple) -> list:
-    start, stop, max_k = args
-    core_counts: dict[int, int] = {}
+    start, expected = args
     bad = []
-    for mask in range(max(start, 1), stop):
-        r = (mask & -mask).bit_length() - 1
-        core = mask >> r
-        if core not in core_counts:
-            core_counts[core] = _zero_rooted_divisor_count(core)
-        expected = (r + 1) * core_counts[core]
+    # Mask 0, the empty set, reads 0 on both sides.
+    for mask, formula in enumerate(expected, start):
         actual = _direct_divisor_count(mask)
-        if actual != expected:
-            bad.append(
-                {"set": _set_text(mask), "d": actual, "formula": expected}
-            )
+        if actual != formula:
+            bad.append({"set": _set_text(mask), "d": actual, "formula": formula})
     return bad
 
 
-def _run_chunks(fn, chunk_args: list, workers: int) -> list:
-    if workers <= 1 or len(chunk_args) <= 1:
+def _run_chunks(fn, chunk_args: list, workers: int) -> tuple[list, int]:
+    """fn over every chunk, merged; also the number of workers used."""
+    used = max(1, min(workers, len(chunk_args)))
+    if used == 1:
         results = [fn(a) for a in chunk_args]
     else:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(chunk_args))
-        ) as ex:
+        import concurrent.futures
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=used) as ex:
             results = list(ex.map(fn, chunk_args))
     merged = []
     for r in results:
         merged.extend(r)
-    return merged
+    return merged, used
 
 
 def _ranges(total: int, pieces: int) -> list[tuple[int, int]]:
     pieces = max(1, min(pieces, total))
-    step = -(-total // pieces)
+    step = max(1, -(-total // pieces))
     return [(i, min(i + step, total)) for i in range(0, total, step)]
 
 
@@ -185,24 +198,23 @@ def run_crlodd(
 ) -> VerificationReport:
     """[k] is the unique d-maximum among 0-rooted sets with max <= k,
     plus the promotion-family disjointness that underpins it."""
+    table = _divisor_table(max_k)
     full = interval(max_k).mask
-    limit = _zero_rooted_divisor_count(full)
-    top = 1 << (max_k + 1)
-    chunk_args = [
-        (max_k, lo, hi, limit, full)
-        for lo, hi in _ranges(top, workers * 4)
+    limit = int(table[full])
+    bad = [
+        {"set": _set_text(mask), "d": int(table[mask]), "limit": limit}
+        for mask in (table >= limit).nonzero()[0].tolist()
+        if mask != full
     ]
-    bad = _run_chunks(_crlodd_chunk, chunk_args, workers)
 
     tasks = [
         (k, mask)
         for k in range(1, promotion_max_k + 1)
         for mask in range(1, 1 << (k + 1), 2)
     ]
-    n_chunks = max(1, workers * 4)
-    step = -(-len(tasks) // n_chunks)
-    task_chunks = [tasks[i : i + step] for i in range(0, len(tasks), step)]
-    bad.extend(_run_chunks(_promotion_chunk, task_chunks, workers))
+    task_chunks = [tasks[lo:hi] for lo, hi in _ranges(len(tasks), workers * 4)]
+    promotion_bad, used = _run_chunks(_promotion_chunk, task_chunks, workers)
+    bad.extend(promotion_bad)
 
     bad.sort(key=lambda c: (c.get("k", -1), c["set"]))
     return VerificationReport(
@@ -211,25 +223,20 @@ def run_crlodd(
         status="pass" if not bad else "fail",
         counterexamples=bad,
         details={"d_full_interval": limit},
-        worker_count=workers,
+        worker_count=used,
     )
 
 
-def run_crleven(max_k: int = 12, workers: int = 1) -> VerificationReport:
+def run_crleven(max_k: int = 12) -> VerificationReport:
     """[k+] = {1,...,k} is the d-maximum over all nonempty subsets of [k],
     unique except the documented ties at k = 1 and k = 3."""
-    core_counts = _core_count_table(max_k)
+    general = _general_table(_divisor_table(max_k))
     bad = []
     ties_seen = {}
     for k in range(1, max_k + 1):
-        best = -1
-        argmax: list[int] = []
-        for mask in range(1, 1 << (k + 1)):
-            d = _general_divisor_count(mask, core_counts)
-            if d > best:
-                best, argmax = d, [mask]
-            elif d == best:
-                argmax.append(mask)
+        d = general[: 2 << k]  # d of the empty set (mask 0) is 0
+        best = int(d.max())
+        argmax = (d == best).nonzero()[0].tolist()
         kplus = (1 << (k + 1)) - 2
         allowed = {kplus}
         if k == 1:
@@ -252,23 +259,24 @@ def run_crleven(max_k: int = 12, workers: int = 1) -> VerificationReport:
         status="pass" if not bad else "fail",
         counterexamples=bad,
         details={"ties": ties_seen},
-        worker_count=workers,
     )
 
 
 def run_l15(max_k: int = 12, workers: int = 1) -> VerificationReport:
     """d(A) = (min(A)+1) d(A - {min A}) for every nonempty A within [max_k],
     checked against direct divisor counting without the reduction."""
-    top = 1 << (max_k + 1)
-    chunk_args = [(lo, hi, max_k) for lo, hi in _ranges(top, workers * 4)]
-    bad = _run_chunks(_l15_chunk, chunk_args, workers)
+    expected = _general_table(_divisor_table(max_k)).tolist()
+    chunk_args = [
+        (lo, expected[lo:hi]) for lo, hi in _ranges(len(expected), workers * 4)
+    ]
+    bad, used = _run_chunks(_l15_chunk, chunk_args, workers)
     bad.sort(key=lambda c: c["set"])
     return VerificationReport(
         target="L15",
         range={"max_k": max_k},
         status="pass" if not bad else "fail",
         counterexamples=bad,
-        worker_count=workers,
+        worker_count=used,
     )
 
 
@@ -294,7 +302,6 @@ def run_bases(
     max_k: int = 5,
     formula_max_element: int = 5,
     formula_heights: tuple[int, ...] = (2, 3),
-    workers: int = 1,
 ) -> VerificationReport:
     """Height-2 multisets have their unique d-maximum at ([k], {}), and the
     chain-count formula matches brute-force set-array enumeration."""
@@ -357,26 +364,26 @@ def run_bases(
         },
         status="pass" if not bad else "fail",
         counterexamples=bad,
-        worker_count=workers,
     )
 
 
 # ---------------------------------------------------------------------------
 # Conjecture probes (evidence-only).
 
-def run_odd2(max_k: int = 14, workers: int = 1) -> VerificationReport:
+def run_odd2(max_k: int = 14) -> VerificationReport:
     """Where does the second-largest d_2 among odd k-digit binary numbers
     occur?  The conjecture says 2^k - 3 for k >= 3, k != 5."""
+    table = _divisor_table(max_k - 1) if max_k >= 3 else None
     rows = []
     for k in range(3, max_k + 1):
         lowtop = 1 | (1 << (k - 1))
-        values: dict[int, int] = {}
-        for mid in range(0, 1 << max(k - 2, 0)):
-            mask = lowtop | (mid << 1)
-            values[mask] = _zero_rooted_divisor_count(mask)
-        best = max(values.values())
-        second = max((v for v in values.values() if v < best), default=None)
-        locations = sorted(m for m, v in values.items() if v == second)
+        values = table[lowtop : 1 << k : 2]
+        best = int(values.max())
+        # {0, k-1} has d = 2 and [k-1] has d >= 3, so a second value exists.
+        second = int(values[values < best].max())
+        locations = [
+            lowtop + 2 * i for i in (values == second).nonzero()[0].tolist()
+        ]
         predicted = (1 << k) - 3
         rows.append(
             {
@@ -396,19 +403,22 @@ def run_odd2(max_k: int = 14, workers: int = 1) -> VerificationReport:
         range={"max_k": max_k},
         status="evidence-only",
         details={"rows": rows},
-        worker_count=workers,
     )
 
 
-def run_pi2(max_k: int = 14, workers: int = 1) -> VerificationReport:
+def run_pi2(max_k: int = 14) -> VerificationReport:
     """Irreducible-set counts against the conjectured prime density.
 
     count(k) is the number of irreducible A with max(A) = k and |A| >= 2
     (binary numbers with k+1 digits); the asymptotic prediction for that
-    digit count is 2^(k-1)."""
+    digit count is 2^(k-1).  Such an A is a core A - {min A} with max j >= 1
+    shifted by k - j, and it is irreducible iff d(core) = 2, so count(k)
+    sums the cores with d = 2 over j <= k."""
+    table = _divisor_table(max_k)
     rows = []
+    count = 0
     for k in range(1, max_k + 1):
-        count = count_irreducible(k)
+        count += int((table[1 | 1 << k : 2 << k : 2] == 2).sum())
         predicted = 1 << (k - 1)
         rows.append(
             {
@@ -424,7 +434,6 @@ def run_pi2(max_k: int = 14, workers: int = 1) -> VerificationReport:
         range={"max_k": max_k},
         status="evidence-only",
         details={"rows": rows},
-        worker_count=workers,
     )
 
 
@@ -437,9 +446,13 @@ _RUNNERS = {
     "pi2": run_pi2,
 }
 
+# Targets that split their work over worker processes.
+_CHUNKED = ("crlodd", "L15")
+
 
 def run_target(name: str, workers: int | None = None, **params) -> VerificationReport:
-    """Run one verification target by name, timing it."""
+    """Run one verification target by name, timing it.  Parameters are
+    range-checked before any work starts."""
     if name not in _RUNNERS:
         known = ", ".join(sorted(_RUNNERS))
         raise PreconditionError(f"unknown target {name!r}; known: {known}")
@@ -454,8 +467,16 @@ def run_target(name: str, workers: int | None = None, **params) -> VerificationR
                 f"target {name!r} does not take parameter {key!r}"
             )
         kwargs[key] = value
+    for key, bound in _BOUNDS[name].items():
+        if kwargs[key] < 0:
+            raise PreconditionError(f"{key} must be nonnegative, got {kwargs[key]}")
+        if kwargs[key] > bound:
+            raise CapacityError(
+                f"{key} {kwargs[key]} exceeds the bound {bound} for target {name!r}"
+            )
+    if name in _CHUNKED:
+        kwargs["workers"] = workers
     start = time.perf_counter()
-    report = _RUNNERS[name](workers=workers, **kwargs)
+    report = _RUNNERS[name](**kwargs)
     report.elapsed = time.perf_counter() - start
-    report.worker_count = workers
     return report

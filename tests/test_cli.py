@@ -197,6 +197,13 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("max_k", ["-1", "1000000000"])
+    def test_verify_range_error_is_1(self, capsys, max_k):
+        code, out, err = run(capsys, "verify", "crlodd", "--max-k", max_k)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["nosuch"])

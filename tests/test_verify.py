@@ -1,24 +1,55 @@
-"""Verification harness: report structure, target dispatch, and agreement
-between the vectorized counters and the library's divisor counting.
+"""Verification harness: report structure, target dispatch, range checks,
+and agreement between the divisor table, the direct counter and the
+library's divisor counting.
 """
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sumdiv import FiniteSet, PreconditionError, divisor_count
+import sumdiv
+from sumdiv import (
+    CapacityError,
+    FiniteSet,
+    PreconditionError,
+    count_irreducible,
+    divisor_count,
+    headstrong_count,
+)
 from sumdiv.verify import (
     CONJECTURE_TARGETS,
     THEOREM_TARGETS,
     _direct_divisor_count,
-    _zero_rooted_divisor_count,
+    _divisor_table,
+    _general_table,
     run_target,
 )
 
 
 class TestCounters:
-    def test_zero_rooted_matches_library(self):
-        for mask in range(1, 1 << 8, 2):
-            a = FiniteSet.from_mask(mask)
-            assert _zero_rooted_divisor_count(mask) == divisor_count(a)
+    def test_table_matches_direct_count(self):
+        table = _divisor_table(10)
+        assert len(table) == 1 << 11
+        for mask in range(1, 1 << 11, 2):
+            assert table[mask] == _direct_divisor_count(mask)
+
+    def test_table_interval_is_headstrong_count(self):
+        table = _divisor_table(18)
+        for k in range(19):
+            assert table[(2 << k) - 1] == headstrong_count(k + 1)
+
+    def test_general_table_matches_library(self):
+        general = _general_table(_divisor_table(8))
+        for mask in range(1, 1 << 9):
+            assert general[mask] == divisor_count(FiniteSet.from_mask(mask))
+
+    def test_pi2_rows_match_count_irreducible(self):
+        rows = run_target("pi2", max_k=12).details["rows"]
+        assert [r["irreducible"] for r in rows] == [
+            count_irreducible(k) for k in range(1, 13)
+        ]
 
     def test_direct_matches_library(self):
         for mask in range(1, 1 << 8):
@@ -56,6 +87,31 @@ class TestDispatch:
         assert r.status == "pass"
         assert set(r.details["ties"]) == {1, 3}
 
+    def test_negative_range_rejected(self):
+        with pytest.raises(PreconditionError):
+            run_target("crlodd", workers=1, max_k=-1)
+        with pytest.raises(PreconditionError):
+            run_target("crlodd", workers=1, max_k=4, promotion_max_k=-1)
+
+    def test_range_upper_bounds(self):
+        for name in THEOREM_TARGETS + CONJECTURE_TARGETS:
+            with pytest.raises(CapacityError):
+                run_target(name, workers=1, max_k=10**9)
+        with pytest.raises(CapacityError):
+            run_target("crlodd", workers=1, max_k=4, promotion_max_k=10**9)
+
+    def test_no_promotion_tasks(self):
+        r = run_target("crlodd", workers=4, max_k=4, promotion_max_k=0)
+        assert r.status == "pass"
+        assert r.worker_count == 1
+
+    def test_worker_count_reports_workers_used(self):
+        for name in ("crleven", "bases", "odd2", "pi2"):
+            assert run_target(name, workers=5, max_k=3).worker_count == 1
+        # k = 1 holds two promotion tasks, so two chunks.
+        r = run_target("crlodd", workers=5, max_k=3, promotion_max_k=1)
+        assert r.worker_count == 2
+
     def test_worker_count_does_not_change_data(self):
         one = run_target("crlodd", workers=1, max_k=6, promotion_max_k=4)
         two = run_target("crlodd", workers=2, max_k=6, promotion_max_k=4)
@@ -68,3 +124,17 @@ class TestDispatch:
                 assert row["predicted_hit"]
             else:
                 assert row["k"] == 5
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(sumdiv.__file__).resolve().parents[1])
+    code = "import sys, sumdiv, sumdiv.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
