@@ -17,6 +17,10 @@ from .sets import FiniteSet, divides, interval
 
 # Headstrong counts roughly double per unit of n; enumeration stops here.
 ENUMERATION_BOUND = 26
+# Composition counts are filled for totals below this bound, so
+# headstrong_count(n) and f_table(rows, cols) take n, cols <= COUNT_BOUND.
+# A fill up to total t holds about t^2 / 2 bits; headstrong_count does n.
+COUNT_BOUND = 5000
 
 
 @dataclass(frozen=True)
@@ -44,28 +48,44 @@ class Composition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@functools.lru_cache(maxsize=None)
+def _bounded_counts(cap: int, total: int) -> list[int]:
+    """Compositions of j with every part <= cap, for j = 0, ..., total.
+
+    Entry j is the sum of the cap entries before it, kept as a sliding
+    window.  Entries have up to about total bits, so total is bounded.
+    """
+    if total >= COUNT_BOUND:
+        raise BudgetError(
+            f"composition counts up to {total} exceed the budget "
+            f"(totals < {COUNT_BOUND})"
+        )
+    counts = [1]
+    window = 1  # counts[j - cap] + ... + counts[j - 1]
+    for j in range(1, total + 1):
+        counts.append(window)
+        window += window - (counts[j - cap] if j >= cap else 0)
+    return counts
+
+
 def fib_general(n: int, k: int) -> int:
     """The n-step Fibonacci numbers indexed so F(n, n) = 1.
 
     F(n, k) = 0 for k < n, 1 for k = n, and the sum of the n previous
     entries for k > n; it counts headstrong compositions of k with
-    leading part n.
+    leading part n, i.e. compositions of k - n with parts <= n.
     """
     if n < 1 or k < 1:
         raise PreconditionError("fib_general needs n, k >= 1")
     if k < n:
         return 0
-    if k == n:
-        return 1
-    return sum(fib_general(n, k - j) for j in range(1, n + 1))
+    return _bounded_counts(n, k - n)[-1]
 
 
 def headstrong_count(n: int) -> int:
     """Number of headstrong compositions of n: the n-th column sum of F."""
     if n < 1:
         raise PreconditionError("headstrong_count needs n >= 1")
-    return sum(fib_general(m, n) for m in range(1, n + 1))
+    return sum(_bounded_counts(m, n - m)[-1] for m in range(1, n + 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,14 +222,20 @@ def weighted_row_sum(n: int, b: int) -> int:
 
 def f_table(rows: int, cols: int) -> list[list[int]]:
     """The rectangular table F(n, k) for 1 <= n <= rows, 1 <= k <= cols."""
+    if rows < 1 or cols < 1:
+        raise PreconditionError("the F table needs rows, cols >= 1")
     return [
-        [fib_general(n, k) for k in range(1, cols + 1)]
+        [0] * (n - 1) + _bounded_counts(n, cols - n)
+        if n <= cols
+        else [0] * cols
         for n in range(1, rows + 1)
     ]
 
 
 def h_table(rows: int) -> list[list[int]]:
     """The headstrong triangle, row n holding H(n, 1) ... H(n, n)."""
+    if rows < 1:
+        raise PreconditionError("the H table needs rows >= 1")
     return [
         [headstrong_by_parts(n, m) for m in range(1, n + 1)]
         for n in range(1, rows + 1)

@@ -116,19 +116,24 @@ def lunar_add(x: LunarNumber, y: LunarNumber) -> LunarNumber:
     )
 
 
-def lunar_mul(x: LunarNumber, y: LunarNumber) -> LunarNumber:
-    """Carry-free long multiplication: digit product min, column max."""
-    _require_same_base(x, y)
-    if x.is_zero or y.is_zero:
-        return LunarNumber(x.base)
-    xd, yd = x.digits, y.digits
+def _mul_digits(xd: tuple, yd: tuple) -> list[int]:
+    """Digits of the product of two nonzero digit strings, one per column
+    (the top one may be zero)."""
     out = [0] * (len(xd) + len(yd) - 1)
     for i, a in enumerate(xd):
         for k, b in enumerate(yd):
             m = a if a < b else b
             if m > out[i + k]:
                 out[i + k] = m
-    return LunarNumber(x.base, out)
+    return out
+
+
+def lunar_mul(x: LunarNumber, y: LunarNumber) -> LunarNumber:
+    """Carry-free long multiplication: digit product min, column max."""
+    _require_same_base(x, y)
+    if x.is_zero or y.is_zero:
+        return LunarNumber(x.base)
+    return LunarNumber(x.base, _mul_digits(x.digits, y.digits))
 
 
 def identity(base: int) -> LunarNumber:
@@ -150,6 +155,46 @@ def beta_inv(x: LunarNumber) -> FiniteSet:
     return FiniteSet(i for i, d in enumerate(x.digits) if d)
 
 
+def _quotient_digits(yd: tuple, nd: tuple, top: int) -> list[int]:
+    """Digits of the maximal quotient of nd by yd (nonzero, no longer than
+    nd): z_j is the largest digit d <= top with min(y_i, d) <= n_{i+j}
+    for every i."""
+    out = []
+    for j in range(len(nd) - len(yd) + 1):
+        d = top
+        for i, yi in enumerate(yd):
+            ni = nd[i + j]
+            if yi > ni and ni < d:
+                d = ni
+        out.append(d)
+    return out
+
+
+def _divides_digits(yd: tuple, nd: tuple, top: int) -> bool:
+    """Does yd divide nd?  Canonical digit strings, yd nonzero and no
+    longer than nd, digits at most top.  The product with the maximal
+    quotient never exceeds nd digitwise, and every cofactor is digitwise
+    at most that quotient, so by monotonicity yd divides nd iff the
+    maximal quotient is a cofactor."""
+    return _mul_digits(yd, _quotient_digits(yd, nd, top)) == list(nd)
+
+
+def _divisor_digits(nd: tuple, base: int):
+    """The canonical divisors of nonzero nd, ordered by (length, digit
+    string)."""
+    top = base - 1
+    for length in range(1, len(nd) + 1):
+        # Digit ranges, most significant first, so product order is string
+        # order.  The end columns of y (x) z are min(y_0, z_0) and the min
+        # of the top digits, so y_0 >= n_0 and y's top digit >= n's.
+        ranges = [range(nd[-1], base)] + [range(base)] * (length - 1)
+        ranges[-1] = range(max(nd[0], ranges[-1].start), base)
+        for msd_first in itertools.product(*ranges):
+            yd = msd_first[::-1]
+            if _divides_digits(yd, nd, top):
+                yield yd
+
+
 def lunar_quotient_max(n: LunarNumber, y: LunarNumber) -> LunarNumber:
     """Digitwise-maximal candidate cofactor z of length len(n) - len(y) + 1.
 
@@ -161,23 +206,15 @@ def lunar_quotient_max(n: LunarNumber, y: LunarNumber) -> LunarNumber:
         raise PreconditionError("cannot divide by lunar zero")
     if len(y) > len(n):
         raise PreconditionError("divisor is longer than the dividend")
-    b = n.base
-    nd, yd = n.digits, y.digits
-    out = []
-    for j in range(len(nd) - len(yd) + 1):
-        d = b - 1
-        for i, yi in enumerate(yd):
-            if yi > nd[i + j] and nd[i + j] < d:
-                d = nd[i + j]
-        out.append(d)
-    return LunarNumber(b, out)
+    top = n.base - 1
+    return LunarNumber(n.base, _quotient_digits(y.digits, n.digits, top))
 
 
 def lunar_divides(y: LunarNumber, n: LunarNumber) -> bool:
     _require_same_base(y, n)
     if y.is_zero or len(y) > len(n):
         return False
-    return lunar_mul(y, lunar_quotient_max(n, y)) == n
+    return _divides_digits(y.digits, n.digits, n.base - 1)
 
 
 def _check_enum_budget(base: int, length: int) -> None:
@@ -192,19 +229,10 @@ def lunar_divisors(n: LunarNumber) -> list[LunarNumber]:
     """All canonical y with y (x) z = n, ordered by (length, digit string)."""
     if n.is_zero:
         raise PreconditionError("lunar zero has no divisor list")
-    b = n.base
-    _check_enum_budget(b, len(n))
-    out = []
-    for length in range(1, len(n) + 1):
-        found = []
-        for top in range(1, b):
-            for rest in itertools.product(range(b), repeat=length - 1):
-                y = LunarNumber(b, rest + (top,))
-                if lunar_divides(y, n):
-                    found.append(y)
-        found.sort(key=lambda y: tuple(reversed(y.digits)))
-        out.extend(found)
-    return out
+    _check_enum_budget(n.base, len(n))
+    return [
+        LunarNumber(n.base, yd) for yd in _divisor_digits(n.digits, n.base)
+    ]
 
 
 def lunar_divisor_count(n: LunarNumber) -> int:

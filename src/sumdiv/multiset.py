@@ -8,23 +8,14 @@ as base-(b+1) digits turns addition into lunar multiplication.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from typing import Iterable, Mapping
 
 from .errors import BudgetError, ParseError, PreconditionError
-from .lunar import LunarNumber
-from .sets import (
-    EMPTY,
-    FiniteSet,
-    _iter_submasks,
-    _quotient_mask,
-    _sum_masks,
-    sumset,
-)
+from .lunar import LunarNumber, _divisor_digits, lunar_divides
+from .sets import EMPTY, FiniteSet, sumset
 
-# The general divisor search is doubly exponential; it exists only as an
-# oracle for the closed-form counts, so the budget is deliberately tight.
+# The general divisor search tries (height+1)^(max+1) candidate chains; it
+# is the brute-force side of the closed-form counts, so the budget is tight.
 MAX_SEARCH_HEIGHT = 3
 MAX_SEARCH_ELEMENT = 6
 
@@ -183,60 +174,16 @@ def star_collapse(x: SetArray) -> SetArray:
     return SetArray((x.coords[0],) + (EMPTY,) * (x.height - 1))
 
 
-@functools.lru_cache(maxsize=1 << 18)
-def _cofactor_masks(xmask: int, ymask: int) -> tuple[int, ...]:
-    """All nonempty C with y + C = x, as masks (empty if y does not divide)."""
-    if ymask == 0 or ymask.bit_length() > xmask.bit_length():
-        return ()
-    qmask = _quotient_mask(xmask, ymask)
-    return tuple(
-        c
-        for c in _iter_submasks(qmask)
-        if c and _sum_masks(ymask, c) == xmask
-    )
-
-
-def _divides_masks(xmasks: tuple[int, ...], ymasks: tuple[int, ...]) -> bool:
-    """Mask-level divisibility for same-height chains (x nonzero)."""
-    sets = []
-    for xm, ym in zip(xmasks, ymasks):
-        if xm == 0:
-            # Trailing empty coordinates: z_i = {} always works.
-            break
-        if ym == 0:
-            return False
-        cof = _cofactor_masks(xm, ym)
-        if not cof:
-            return False
-        sets.append(cof)
-    return _has_cofactor_chain(sets)
-
-
-def _has_cofactor_chain(cofactor_sets: list) -> bool:
-    """Is there a descending chain (Z_1 contains ... contains Z_t) picking one
-    mask from each per-coordinate cofactor set?  Backtracks bottom-up."""
-
-    def rec(i: int, need: int) -> bool:
-        if i < 0:
-            return True
-        return any(
-            z & need == need and rec(i - 1, z) for z in cofactor_sets[i]
-        )
-
-    return rec(len(cofactor_sets) - 1, 0)
-
-
 def setarray_divides(y: SetArray, x: SetArray) -> bool:
-    """True iff some chain z exists with multisum(y, z) = x."""
+    """True iff some chain z exists with multisum(y, z) = x, that is, iff
+    beta_b(y) lunar-divides beta_b(x)."""
     if x.height != y.height:
         raise PreconditionError(
             f"height mismatch: {x.height} vs {y.height}"
         )
     if x.is_zero:
         raise PreconditionError("divisibility is defined for nonzero x only")
-    return _divides_masks(
-        tuple(c.mask for c in x.coords), tuple(c.mask for c in y.coords)
-    )
+    return lunar_divides(beta_b(y), beta_b(x))
 
 
 def setarray_divisors(
@@ -247,9 +194,9 @@ def setarray_divisors(
 ) -> list[SetArray]:
     """All same-height divisors of x, by brute force.
 
-    Candidate chains live inside the bounding box [0, max(A_1)]; each is
-    validated by searching for a chain-compatible cofactor coordinate by
-    coordinate.  Strictly budget-limited.
+    Every chain inside the bounding box [0, max(A_1)] is a candidate,
+    read as a base-(height+1) number and tested by the lunar
+    maximal-quotient test against beta_b(x).  Strictly budget-limited.
     """
     if x.is_zero:
         raise PreconditionError("the zero multiset has no divisor list")
@@ -261,16 +208,10 @@ def setarray_divisors(
             f"exceeds the budget (height <= {max_height}, "
             f"element <= {max_element})"
         )
-    out = []
-    for mults in itertools.product(range(h + 1), repeat=top + 1):
-        if not any(mults):
-            continue
-        y = SetArray(
-            FiniteSet(e for e, m in enumerate(mults) if m >= i)
-            for i in range(1, h + 1)
-        )
-        if setarray_divides(y, x):
-            out.append(y)
+    out = [
+        to_set_array(dict(enumerate(yd)), h)
+        for yd in _divisor_digits(beta_b(x).digits, h + 1)
+    ]
     out.sort(key=lambda y: tuple(c.elements for c in y.coords))
     return out
 

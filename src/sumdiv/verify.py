@@ -3,9 +3,11 @@
 Theorem targets report pass/fail with explicit counterexamples; conjecture
 probes only ever report evidence.  One pair-sieve table of divisor counts
 (numpy, imported only when a sweep runs) serves crlodd, crleven, odd2 and
-pi2; L15 checks it against direct deconvolution.  The L15 sweep and the
-crlodd promotion phase may be partitioned across worker processes;
-aggregation is commutative, so results are independent of the worker count.
+pi2; L15 checks it against direct deconvolution.  bases counts the
+divisors of a multiset as the lunar divisors of its digit string beta_b.
+The L15 sweep and the crlodd promotion phase may be partitioned across
+worker processes; aggregation is commutative, so results are independent
+of the worker count.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 
 from . import multiset, promotion
 from .errors import CapacityError, PreconditionError
+from .lunar import LunarNumber, _divisor_digits
 from .sets import FiniteSet, interval
 from .multiset import SetArray, setarray_divisor_count_formula
 
@@ -280,22 +283,17 @@ def run_l15(max_k: int = 12, workers: int = 1) -> VerificationReport:
     )
 
 
-def _chain_masks(mults: tuple[int, ...], height: int) -> tuple[int, ...]:
-    return tuple(
-        sum(1 << e for e, m in enumerate(mults) if m >= i)
-        for i in range(1, height + 1)
-    )
-
-
-def _multiset_d(mults: tuple[int, ...], height: int) -> int:
-    xmasks = _chain_masks(mults, height)
-    count = 0
-    for cand in itertools.product(range(height + 1), repeat=len(mults)):
-        if not any(cand):
-            continue
-        if multiset._divides_masks(xmasks, _chain_masks(cand, height)):
-            count += 1
-    return count
+def _multiset_divisor_counts(max_k: int, height: int) -> dict:
+    """d of every nonzero multiset with elements <= max_k and
+    multiplicities <= height, keyed by its multiplicity tuple.  The
+    multiplicities are the digits of beta_b, whose lunar divisors are the
+    multiset's divisors."""
+    counts = {}
+    for mults in itertools.product(range(height + 1), repeat=max_k + 1):
+        n = LunarNumber(height + 1, mults)  # drops trailing zeros
+        if not n.is_zero:
+            counts[mults] = sum(1 for _ in _divisor_digits(n.digits, n.base))
+    return counts
 
 
 def run_bases(
@@ -309,11 +307,7 @@ def run_bases(
 
     # Exhaustive maximum over multiplicity-<=2 multisets with elements <= k.
     height = 2
-    d_by_mults: dict[tuple[int, ...], int] = {}
-    for mults in itertools.product(range(height + 1), repeat=max_k + 1):
-        if not any(mults):
-            continue
-        d_by_mults[mults] = _multiset_d(mults, height)
+    d_by_mults = _multiset_divisor_counts(max_k, height)
     for k in range(1, max_k + 1):
         target_mults = tuple(1 for _ in range(k + 1))
         target_d = setarray_divisor_count_formula(interval(k), height)
@@ -458,6 +452,7 @@ def run_target(name: str, workers: int | None = None, **params) -> VerificationR
         raise PreconditionError(f"unknown target {name!r}; known: {known}")
     if workers is None:
         workers = default_workers()
+    workers = max(1, min(workers, os.cpu_count() or 1))
     kwargs = dict(_DEFAULTS[name])
     for key, value in params.items():
         if value is None:

@@ -197,6 +197,25 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("F", "--rows", "-1"),
+            ("H", "--rows", "-3"),
+            ("F", "--rows", "2", "--cols", "-4"),
+        ],
+    )
+    def test_table_size_error_is_1(self, capsys, argv):
+        code, out, err = run(capsys, "table", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+    def test_deep_headstrong_count(self, capsys):
+        code, out, _ = run(capsys, "compositions", "3000", "--count")
+        assert code == 0
+        assert int(out) > 0
+
     @pytest.mark.parametrize("max_k", ["-1", "1000000000"])
     def test_verify_range_error_is_1(self, capsys, max_k):
         code, out, err = run(capsys, "verify", "crlodd", "--max-k", max_k)

@@ -27,6 +27,7 @@ from sumdiv import (
     sumset,
     weighted_row_sum,
 )
+from sumdiv.compositions import COUNT_BOUND
 
 from .oracles import naive_headstrong
 
@@ -121,6 +122,50 @@ class TestHeadstrongCounts:
                 sum(fib_general(n, k) for n in range(1, k + 1))
                 == headstrong_count(k)
             )
+
+
+class TestDeepCounts:
+    def test_headstrong_count_matches_plain_recurrence(self):
+        # Compositions of t with parts <= m, each entry summed in full.
+        def bounded(m, t):
+            c = [1]
+            for j in range(1, t + 1):
+                c.append(sum(c[j - p] for p in range(1, min(m, j) + 1)))
+            return c[t]
+
+        for n in (1, 2, 3, 10, 57, 120):
+            assert headstrong_count(n) == sum(
+                bounded(m, n - m) for m in range(1, n + 1)
+            )
+
+    def test_no_recursion_limit(self):
+        a, b = 0, 1  # F(2, k) is the Fibonacci number F_(k-1)
+        for _ in range(2998):
+            a, b = b, a + b
+        assert fib_general(2, 3000) == b
+        assert headstrong_count(800) > headstrong_count(799)
+
+    def test_table_rows_match_entries(self):
+        table = f_table(6, 40)
+        assert all(
+            table[n - 1][k - 1] == fib_general(n, k)
+            for n in range(1, 7)
+            for k in range(1, 41)
+        )
+        assert f_table(7, 3)[6] == [0, 0, 0]
+
+    def test_budget_and_preconditions(self):
+        with pytest.raises(BudgetError):
+            headstrong_count(COUNT_BOUND + 1)
+        with pytest.raises(BudgetError):
+            fib_general(1, COUNT_BOUND + 1)
+        with pytest.raises(BudgetError):
+            f_table(1, COUNT_BOUND + 1)
+        for rows, cols in ((0, 3), (3, 0), (-1, 5)):
+            with pytest.raises(PreconditionError):
+                f_table(rows, cols)
+        with pytest.raises(PreconditionError):
+            h_table(0)
 
 
 class TestBoundedCounts:

@@ -2,6 +2,8 @@
 base-(b+1) correspondence, and divisor counting.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,6 +200,29 @@ class TestDivisorCounts:
                 assert setarray_divisor_count_formula(a, b) == sum(
                     b ** len(d) for d in divisors(a)
                 )
+
+    def test_divisor_lists_match_naive(self):
+        # Every height-2 x with max <= 3, against every nonzero chain in
+        # its bounding box.
+        for top in range(4):
+            chains = [
+                to_set_array(dict(enumerate(mults)), 2)
+                for mults in itertools.product(range(3), repeat=top + 1)
+                if any(mults)
+            ]
+            for x in chains:
+                if x.coords[0].max != top:
+                    continue
+                xc = tuple(frozenset(c) for c in x.coords)
+                want = {
+                    y
+                    for y in chains
+                    if naive_setarray_divides(
+                        tuple(frozenset(c) for c in y.coords), xc, 2
+                    )
+                }
+                got = setarray_divisors(x)
+                assert len(got) == len(want) and set(got) == want, x
 
     def test_budget(self):
         with pytest.raises(BudgetError):

@@ -3,6 +3,7 @@ and agreement between the divisor table, the direct counter and the
 library's divisor counting.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -24,8 +25,11 @@ from sumdiv.verify import (
     _direct_divisor_count,
     _divisor_table,
     _general_table,
+    _multiset_divisor_counts,
     run_target,
 )
+
+from .oracles import naive_lunar_divisors
 
 
 class TestCounters:
@@ -50,6 +54,15 @@ class TestCounters:
         assert [r["irreducible"] for r in rows] == [
             count_irreducible(k) for k in range(1, 13)
         ]
+
+    def test_multiset_counts_match_naive_lunar_divisors(self):
+        counts = _multiset_divisor_counts(3, 2)
+        assert len(counts) == 3**4 - 1
+        for mults, d in counts.items():
+            digits = list(mults)
+            while not digits[-1]:
+                digits.pop()
+            assert d == len(naive_lunar_divisors(tuple(digits), 3)), mults
 
     def test_direct_matches_library(self):
         for mask in range(1, 1 << 8):
@@ -110,7 +123,12 @@ class TestDispatch:
             assert run_target(name, workers=5, max_k=3).worker_count == 1
         # k = 1 holds two promotion tasks, so two chunks.
         r = run_target("crlodd", workers=5, max_k=3, promotion_max_k=1)
-        assert r.worker_count == 2
+        assert r.worker_count == min(2, os.cpu_count() or 1)
+
+    def test_workers_clamped_to_cpu_count(self):
+        r = run_target("L15", workers=64, max_k=2)
+        assert r.status == "pass"
+        assert 1 <= r.worker_count <= (os.cpu_count() or 1)
 
     def test_worker_count_does_not_change_data(self):
         one = run_target("crlodd", workers=1, max_k=6, promotion_max_k=4)
