@@ -21,6 +21,16 @@ ENUMERATION_BOUND = 26
 # headstrong_count(n) and f_table(rows, cols) take n, cols <= COUNT_BOUND.
 # A fill up to total t holds about t^2 / 2 bits; headstrong_count does n.
 COUNT_BOUND = 5000
+# headstrong_by_parts fills H(n', m) for n' <= n by a cubic recurrence over
+# bounded-part counts: cold, 0.5 s at n = 200, 1.5 s at 250 and 3.2 s at
+# 300 on 2 cores.  It and h_table take n, rows <= TRIANGLE_BOUND, which also
+# keeps its recursion (under 400 frames at the bound) within the
+# interpreter's default limit of 1000.
+TRIANGLE_BOUND = 250
+# f_table(rows, cols) takes rows * cols <= CELL_BOUND.  Row n holds numbers
+# of about cols - n bits, so the widest tables are the largest: 20 x 5000
+# prints 69 million digits (1.5 s, 184 MB peak with the plain format).
+CELL_BOUND = 100_000
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,11 @@ def headstrong_by_parts(n: int, m: int) -> int:
     """
     if n < 1 or m < 1:
         raise PreconditionError("headstrong_by_parts needs n, m >= 1")
+    if n > TRIANGLE_BOUND:
+        raise BudgetError(
+            f"headstrong counts by parts for n = {n} exceed the budget "
+            f"(n <= {TRIANGLE_BOUND})"
+        )
     if m > n:
         return 0
     if m == n or m == 1:
@@ -224,6 +239,11 @@ def f_table(rows: int, cols: int) -> list[list[int]]:
     """The rectangular table F(n, k) for 1 <= n <= rows, 1 <= k <= cols."""
     if rows < 1 or cols < 1:
         raise PreconditionError("the F table needs rows, cols >= 1")
+    if rows * cols > CELL_BOUND:
+        raise BudgetError(
+            f"an F table of {rows} x {cols} cells exceeds the budget "
+            f"(rows * cols <= {CELL_BOUND})"
+        )
     return [
         [0] * (n - 1) + _bounded_counts(n, cols - n)
         if n <= cols
@@ -236,6 +256,11 @@ def h_table(rows: int) -> list[list[int]]:
     """The headstrong triangle, row n holding H(n, 1) ... H(n, n)."""
     if rows < 1:
         raise PreconditionError("the H table needs rows >= 1")
+    if rows > TRIANGLE_BOUND:
+        raise BudgetError(
+            f"an H table of {rows} rows exceeds the budget "
+            f"(rows <= {TRIANGLE_BOUND})"
+        )
     return [
         [headstrong_by_parts(n, m) for m in range(1, n + 1)]
         for n in range(1, rows + 1)

@@ -3,11 +3,12 @@
 Theorem targets report pass/fail with explicit counterexamples; conjecture
 probes only ever report evidence.  One pair-sieve table of divisor counts
 (numpy, imported only when a sweep runs) serves crlodd, crleven, odd2 and
-pi2; L15 checks it against direct deconvolution.  bases counts the
-divisors of a multiset as the lunar divisors of its digit string beta_b.
-The L15 sweep and the crlodd promotion phase may be partitioned across
-worker processes; aggregation is commutative, so results are independent
-of the worker count.
+pi2.  L15 checks it, through the translation lemma, against the same
+sieve run over all pairs of sets, with no reduction to 0-rooted sets.
+bases counts the divisors of a multiset as the lunar divisors of its
+digit string beta_b.  Only the crlodd promotion phase may be partitioned
+across worker processes; aggregation is commutative, so results are
+independent of the worker count.
 """
 
 from __future__ import annotations
@@ -36,14 +37,15 @@ _DEFAULTS = {
 }
 
 # Upper bounds on the size parameters, checked before any work starts.  The
-# divisor table peaks near 200 MB at max_k = 22, and L15's direct side near
-# 100 MB per set at max_k = 20; bases keeps d for 3^(max_k+1) multisets
+# divisor table peaks near 200 MB at max_k = 22; L15 holds both of its
+# sides and builds the larger all-pairs table, and peaks near 200 MB at
+# max_k = 21 (380 MB at 22).  bases keeps d for 3^(max_k+1) multisets
 # (50 MB at 10), and the promotion phase lists 2^(promotion_max_k+1) tasks
 # (240 MB at 20).
 _BOUNDS = {
     "crlodd": {"max_k": 22, "promotion_max_k": 20},
     "crleven": {"max_k": 22},
-    "L15": {"max_k": 20},
+    "L15": {"max_k": 21},
     "bases": {"max_k": 10},
     "odd2": {"max_k": 22},
     "pi2": {"max_k": 22},
@@ -94,27 +96,33 @@ def default_workers() -> int:
 # ---------------------------------------------------------------------------
 # Divisor counting over bit masks.
 
-def _divisor_table(max_k: int):
+def _divisor_table(max_k: int, rooted: bool = True):
     """d(A) for every 0-rooted A with max(A) <= max_k, as a numpy array
-    indexed by mask; entries at even masks are 0.
+    indexed by mask; entries at even masks are 0.  With rooted=False, d(A)
+    for every nonempty A with max(A) <= max_k, counted from all pairs
+    without the reduction to 0-rooted sets.
 
-    A pair sieve: for each b, row i holds B_i + C for every 0-rooted C with
-    max(C) <= max_k - b, where B_i runs over the 0-rooted sets with max b.
-    The distinct entries of row i are exactly the sets B_i divides, so
-    counting them per set counts its divisors.  That is
-    (max_k + 1) * 2^(max_k - 1) pairs in all; masks are int32, so
-    max_k <= 30.
+    A pair sieve: for each b, row i holds B_i + C for every C with
+    max(C) <= max_k - b, where B_i runs over the sets with max b (0-rooted
+    B and C unless rooted=False).  The distinct entries of row i are
+    exactly the sets B_i divides, so counting them per set counts its
+    divisors.  That is (max_k + 1) * 2^(max_k - 1) pairs rooted and
+    max_k * 2^(max_k + 1) + 1 in all; masks are int32, so max_k <= 30.
     """
     import numpy as np
 
     size = 2 << max_k
+    step, first = (2, 1) if rooted else (1, 0)
     table = np.zeros(size, dtype=np.int64)
     for b in range(max_k + 1):
-        cs = np.arange(1, 2 << (max_k - b), 2, dtype=np.int32)
-        # Start from B = {0, b}; each element e in [1, b-1] doubles the rows.
-        rows = (cs | (cs << b))[np.newaxis, :]
-        for e in range(1, b):
-            rows = np.concatenate((rows, rows | (cs << e)))
+        cs = np.arange(1, 2 << (max_k - b), step, dtype=np.int32)
+        # Start from B = {0, b} (rooted) or {b}; each element e in
+        # [first, b-1] doubles the rows.
+        rows = np.empty((1 << max(b - first, 0), len(cs)), dtype=np.int32)
+        rows[0] = (cs | (cs << b)) if rooted else (cs << b)
+        for e in range(first, b):
+            n = 1 << (e - first)
+            np.bitwise_or(rows[:n], cs << e, out=rows[n : 2 * n])
         rows.sort(axis=1)
         distinct = np.ones(rows.shape, dtype=bool)
         distinct[:, 1:] = rows[:, 1:] != rows[:, :-1]
@@ -131,25 +139,12 @@ def _general_table(table):
     return general
 
 
-def _direct_divisor_count(amask: int) -> int:
-    """d(a) with NO reduction to the 0-rooted core: every nonzero mask
-    within the bounding box is tested by deconvolution directly."""
-    import numpy as np
-
-    cands = np.arange(1, 1 << amask.bit_length(), dtype=np.int64)
-    prod = np.zeros_like(cands)
-    for c in range(amask.bit_length()):
-        sh = cands << c
-        prod |= np.where((sh & ~amask) == 0, sh, 0)
-    return int(np.count_nonzero(prod == amask))
-
-
 def _set_text(mask: int) -> str:
     return str(FiniteSet.from_mask(mask))
 
 
 # ---------------------------------------------------------------------------
-# Worker chunk functions (top-level for pickling).
+# Worker chunk function (top-level for pickling).
 
 def _promotion_chunk(tasks: list) -> list:
     bad = []
@@ -157,17 +152,6 @@ def _promotion_chunk(tasks: list) -> list:
         a = FiniteSet.from_mask(mask)
         if not promotion.verify_promotion_disjointness(a, k):
             bad.append({"set": str(a), "k": k, "issue": "promotion families"})
-    return bad
-
-
-def _l15_chunk(args: tuple) -> list:
-    start, expected = args
-    bad = []
-    # Mask 0, the empty set, reads 0 on both sides.
-    for mask, formula in enumerate(expected, start):
-        actual = _direct_divisor_count(mask)
-        if actual != formula:
-            bad.append({"set": _set_text(mask), "d": actual, "formula": formula})
     return bad
 
 
@@ -265,21 +249,25 @@ def run_crleven(max_k: int = 12) -> VerificationReport:
     )
 
 
-def run_l15(max_k: int = 12, workers: int = 1) -> VerificationReport:
+def run_l15(max_k: int = 12) -> VerificationReport:
     """d(A) = (min(A)+1) d(A - {min A}) for every nonempty A within [max_k],
-    checked against direct divisor counting without the reduction."""
-    expected = _general_table(_divisor_table(max_k)).tolist()
-    chunk_args = [
-        (lo, expected[lo:hi]) for lo, hi in _ranges(len(expected), workers * 4)
+    checked against divisor counts from all pairs, without the reduction."""
+    expected = _general_table(_divisor_table(max_k))
+    actual = _divisor_table(max_k, rooted=False)
+    bad = [
+        {
+            "set": _set_text(mask),
+            "d": int(actual[mask]),
+            "formula": int(expected[mask]),
+        }
+        for mask in (actual != expected).nonzero()[0].tolist()
     ]
-    bad, used = _run_chunks(_l15_chunk, chunk_args, workers)
     bad.sort(key=lambda c: c["set"])
     return VerificationReport(
         target="L15",
         range={"max_k": max_k},
         status="pass" if not bad else "fail",
         counterexamples=bad,
-        worker_count=used,
     )
 
 
@@ -441,7 +429,7 @@ _RUNNERS = {
 }
 
 # Targets that split their work over worker processes.
-_CHUNKED = ("crlodd", "L15")
+_CHUNKED = ("crlodd",)
 
 
 def run_target(name: str, workers: int | None = None, **params) -> VerificationReport:

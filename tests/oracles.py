@@ -1,11 +1,13 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here is deliberately naive: plain Python sets, full search over
-every candidate, no reuse of the library's reductions.  Slow but obviously
-correct, which is the point.
+Everything here is deliberately naive: plain Python sets (or bit masks),
+full search over every candidate, no reuse of the library's reductions.
+Slow but obviously correct, which is the point.
 """
 
 from itertools import chain, combinations, product
+
+import numpy as np
 
 
 def naive_sumset(a: frozenset, b: frozenset) -> frozenset:
@@ -38,6 +40,17 @@ def naive_divisors(a: frozenset) -> list:
         if b and naive_divides(b, a)
     ]
     return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def direct_divisor_count(amask: int) -> int:
+    """d(a) for a bit mask, with no reduction to the 0-rooted core: every
+    nonzero mask within the bounding box is tested by deconvolution."""
+    cands = np.arange(1, 1 << amask.bit_length(), dtype=np.int64)
+    prod = np.zeros_like(cands)
+    for c in range(amask.bit_length()):
+        sh = cands << c
+        prod |= np.where((sh & ~amask) == 0, sh, 0)
+    return int(np.count_nonzero(prod == amask))
 
 
 def naive_lunar_mul(x: tuple, y: tuple, base: int) -> tuple:

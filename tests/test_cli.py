@@ -211,6 +211,21 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compositions", "3000", "--parts", "2"),
+            ("compositions", "1200", "--parts", "3"),
+            ("table", "H", "--rows", "2000"),
+            ("table", "F", "--rows", "3000"),
+        ],
+    )
+    def test_size_budget_error_is_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
     def test_deep_headstrong_count(self, capsys):
         code, out, _ = run(capsys, "compositions", "3000", "--count")
         assert code == 0

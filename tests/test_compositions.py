@@ -27,7 +27,7 @@ from sumdiv import (
     sumset,
     weighted_row_sum,
 )
-from sumdiv.compositions import COUNT_BOUND
+from sumdiv.compositions import CELL_BOUND, COUNT_BOUND, TRIANGLE_BOUND
 
 from .oracles import naive_headstrong
 
@@ -166,6 +166,25 @@ class TestDeepCounts:
                 f_table(rows, cols)
         with pytest.raises(PreconditionError):
             h_table(0)
+
+    def test_triangle_bound(self):
+        # H(n, 2) = floor(n / 2); cold, it fills the triangle below n by
+        # recursion, which must stay within the interpreter's limit.
+        headstrong_by_parts.cache_clear()
+        assert headstrong_by_parts(TRIANGLE_BOUND, 2) == TRIANGLE_BOUND // 2
+        with pytest.raises(BudgetError):
+            headstrong_by_parts(TRIANGLE_BOUND + 1, 2)
+        headstrong_by_parts.cache_clear()
+        with pytest.raises(BudgetError):
+            h_table(TRIANGLE_BOUND + 1)
+        assert headstrong_by_parts.cache_info().currsize == 0  # no work done
+
+    def test_cell_bound(self):
+        with pytest.raises(BudgetError):
+            f_table(CELL_BOUND + 1, 1)
+        with pytest.raises(BudgetError):
+            f_table(3000, 3000)
+        assert len(f_table(CELL_BOUND // 10, 10)) == CELL_BOUND // 10
 
 
 class TestBoundedCounts:

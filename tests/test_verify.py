@@ -1,6 +1,6 @@
 """Verification harness: report structure, target dispatch, range checks,
-and agreement between the divisor table, the direct counter and the
-library's divisor counting.
+and agreement between the divisor table in both modes, the direct counter
+and the library's divisor counting.
 """
 
 import os
@@ -18,26 +18,36 @@ from sumdiv import (
     count_irreducible,
     divisor_count,
     headstrong_count,
+    verify,
 )
 from sumdiv.verify import (
     CONJECTURE_TARGETS,
     THEOREM_TARGETS,
-    _direct_divisor_count,
     _divisor_table,
     _general_table,
     _multiset_divisor_counts,
     run_target,
 )
 
-from .oracles import naive_lunar_divisors
+from .oracles import direct_divisor_count, naive_divisors, naive_lunar_divisors
 
 
 class TestCounters:
     def test_table_matches_direct_count(self):
-        table = _divisor_table(10)
-        assert len(table) == 1 << 11
-        for mask in range(1, 1 << 11, 2):
-            assert table[mask] == _direct_divisor_count(mask)
+        rooted = _divisor_table(10)
+        every = _divisor_table(10, rooted=False)
+        assert len(rooted) == len(every) == 1 << 11
+        assert rooted[0] == every[0] == 0
+        for mask in range(1, 1 << 11):
+            d = direct_divisor_count(mask)
+            assert every[mask] == d, mask
+            assert rooted[mask] == (d if mask & 1 else 0), mask
+
+    def test_all_pairs_table_matches_naive_divisors(self):
+        every = _divisor_table(6, rooted=False)
+        for mask in range(1, 1 << 7):
+            a = frozenset(FiniteSet.from_mask(mask).elements)
+            assert every[mask] == len(naive_divisors(a)), mask
 
     def test_table_interval_is_headstrong_count(self):
         table = _divisor_table(18)
@@ -67,7 +77,7 @@ class TestCounters:
     def test_direct_matches_library(self):
         for mask in range(1, 1 << 8):
             a = FiniteSet.from_mask(mask)
-            assert _direct_divisor_count(mask) == divisor_count(a)
+            assert direct_divisor_count(mask) == divisor_count(a)
 
 
 class TestDispatch:
@@ -119,14 +129,14 @@ class TestDispatch:
         assert r.worker_count == 1
 
     def test_worker_count_reports_workers_used(self):
-        for name in ("crleven", "bases", "odd2", "pi2"):
+        for name in ("crleven", "L15", "bases", "odd2", "pi2"):
             assert run_target(name, workers=5, max_k=3).worker_count == 1
         # k = 1 holds two promotion tasks, so two chunks.
         r = run_target("crlodd", workers=5, max_k=3, promotion_max_k=1)
         assert r.worker_count == min(2, os.cpu_count() or 1)
 
     def test_workers_clamped_to_cpu_count(self):
-        r = run_target("L15", workers=64, max_k=2)
+        r = run_target("crlodd", workers=64, max_k=2, promotion_max_k=2)
         assert r.status == "pass"
         assert 1 <= r.worker_count <= (os.cpu_count() or 1)
 
@@ -134,6 +144,30 @@ class TestDispatch:
         one = run_target("crlodd", workers=1, max_k=6, promotion_max_k=4)
         two = run_target("crlodd", workers=2, max_k=6, promotion_max_k=4)
         assert one.data_dict() == two.data_dict()
+
+    def test_l15_stretch_range(self):
+        r = run_target("L15", max_k=16)
+        assert r.status == "pass"
+        assert r.counterexamples == []
+
+    def test_l15_reports_planted_fault(self, monkeypatch):
+        # A wrong expected side at one mask must surface as exactly that
+        # counterexample, with the true count from the all-pairs side.
+        mask = 0b1011000
+        true_d = divisor_count(FiniteSet.from_mask(mask))
+        general = verify._general_table
+
+        def planted(table):
+            out = general(table)
+            out[mask] += 1
+            return out
+
+        monkeypatch.setattr(verify, "_general_table", planted)
+        r = run_target("L15", max_k=8)
+        assert r.status == "fail"
+        assert r.counterexamples == [
+            {"set": "{3, 4, 6}", "d": true_d, "formula": true_d + 1}
+        ]
 
     def test_odd2_prediction_rows(self):
         r = run_target("odd2", workers=1, max_k=8)
