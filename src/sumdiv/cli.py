@@ -1,4 +1,4 @@
-"""Command-line surface: compute, export tables, run verification sweeps.
+"""Command-line surface: compute, print tables, run verification sweeps.
 
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 verification
 failure (a theorem target found a counterexample).
@@ -151,12 +151,6 @@ def _cmd_compositions(args) -> int:
     return EXIT_OK
 
 
-def _table_rows(kind: str, rows: int, cols: int | None) -> list[list[int]]:
-    if kind == "F":
-        return compositions.f_table(rows, cols if cols is not None else rows)
-    return compositions.h_table(rows)
-
-
 def format_table(table: list[list[int]], fmt: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
@@ -169,17 +163,12 @@ def format_table(table: list[list[int]], fmt: str) -> str:
 
 
 def _cmd_table(args) -> int:
-    table = _table_rows(args.kind, args.rows, args.cols)
+    if args.kind == "F":
+        cols = args.cols if args.cols is not None else args.rows
+        table = compositions.f_table(args.rows, cols)
+    else:
+        table = compositions.h_table(args.rows)
     print(format_table(table, args.format))
-    return EXIT_OK
-
-
-def _cmd_export(args) -> int:
-    table = _table_rows(args.kind, args.rows, args.cols)
-    text = format_table(table, args.format)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    print(f"wrote {args.kind} table ({args.rows} rows) to {args.out}")
     return EXIT_OK
 
 
@@ -189,7 +178,7 @@ def _cmd_verify(args) -> int:
         params["max_k"] = args.max_k
     if args.promotion_max_k is not None:
         params["promotion_max_k"] = args.promotion_max_k
-    report = verify.run_target(args.target, workers=args.workers, **params)
+    report = verify.run_target(args.target, **params)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
@@ -201,7 +190,7 @@ def _cmd_verify(args) -> int:
             print(f"  {c}")
         if report.details:
             print(f"details: {json.dumps(report.details, sort_keys=True)}")
-        print(f"elapsed: {report.elapsed:.2f}s  workers: {report.worker_count}")
+        print(f"elapsed: {report.elapsed:.2f}s")
     return EXIT_COUNTEREXAMPLE if report.status == "fail" else EXIT_OK
 
 
@@ -281,23 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(handler=_cmd_compositions)
 
-    for name, handler in (("table", _cmd_table), ("export", _cmd_export)):
-        p = sub.add_parser(
-            name,
-            help="print (or write) the F or H table",
-        )
-        p.add_argument("kind", choices=("F", "H"))
-        p.add_argument("--rows", type=int, required=True)
-        p.add_argument("--cols", type=int, default=None,
-                       help="columns for the F table (default: rows)")
-        p.add_argument(
-            "--format",
-            choices=("plain", "csv", "json") if name == "table" else ("csv", "json"),
-            default="plain" if name == "table" else "csv",
-        )
-        if name == "export":
-            p.add_argument("--out", required=True)
-        p.set_defaults(handler=handler)
+    p = sub.add_parser("table", help="print the F or H table")
+    p.add_argument("kind", choices=("F", "H"))
+    p.add_argument("--rows", type=int, required=True)
+    p.add_argument("--cols", type=int, default=None,
+                   help="columns for the F table (default: rows)")
+    p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
+    p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("verify", help="run a verification target")
     p.add_argument(
@@ -308,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--promotion-max-k", type=int, default=None,
                    dest="promotion_max_k",
                    help="bound for the family-disjointness sweep (crlodd)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: SUMDIV_WORKERS or all)")
     add_json(p)
     p.set_defaults(handler=_cmd_verify)
 

@@ -6,15 +6,13 @@ probes only ever report evidence.  One pair-sieve table of divisor counts
 pi2.  L15 checks it, through the translation lemma, against the same
 sieve run over all pairs of sets, with no reduction to 0-rooted sets.
 bases counts the divisors of a multiset as the lunar divisors of its
-digit string beta_b.  Only the crlodd promotion phase may be partitioned
-across worker processes; aggregation is commutative, so results are
-independent of the worker count.
+digit string beta_b.  crlodd's promotion phase reads the same rooted
+pairs as the table.  Every target runs in the calling process.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -40,8 +38,8 @@ _DEFAULTS = {
 # divisor table peaks near 200 MB at max_k = 22; L15 holds both of its
 # sides and builds the larger all-pairs table, and peaks near 200 MB at
 # max_k = 21 (380 MB at 22).  bases keeps d for 3^(max_k+1) multisets
-# (50 MB at 10), and the promotion phase lists 2^(promotion_max_k+1) tasks
-# (240 MB at 20).
+# (50 MB at 10).  crlodd's promotion phase peaks near 210 MB at
+# promotion_max_k = 20 (400 MB at 21) and runs before the table.
 _BOUNDS = {
     "crlodd": {"max_k": 22, "promotion_max_k": 20},
     "crleven": {"max_k": 22},
@@ -60,7 +58,6 @@ class VerificationReport:
     counterexamples: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
     elapsed: float = 0.0
-    worker_count: int = 1
 
     def data_dict(self) -> dict:
         return {
@@ -78,42 +75,24 @@ class VerificationReport:
             "data": self.data_dict(),
             "meta": {
                 "elapsed_seconds": self.elapsed,
-                "worker_count": self.worker_count,
+                "worker_count": 1,  # every target runs in this process
             },
         }
-
-
-def default_workers() -> int:
-    env = os.environ.get("SUMDIV_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
 # Divisor counting over bit masks.
 
-def _divisor_table(max_k: int, rooted: bool = True):
-    """d(A) for every 0-rooted A with max(A) <= max_k, as a numpy array
-    indexed by mask; entries at even masks are 0.  With rooted=False, d(A)
-    for every nonempty A with max(A) <= max_k, counted from all pairs
-    without the reduction to 0-rooted sets.
-
-    A pair sieve: for each b, row i holds B_i + C for every C with
-    max(C) <= max_k - b, where B_i runs over the sets with max b (0-rooted
-    B and C unless rooted=False).  The distinct entries of row i are
-    exactly the sets B_i divides, so counting them per set counts its
-    divisors.  That is (max_k + 1) * 2^(max_k - 1) pairs rooted and
-    max_k * 2^(max_k + 1) + 1 in all; masks are int32, so max_k <= 30.
+def _pair_rows(max_k: int, rooted: bool = True):
+    """The pairs (B, C) of the divisor sieve with max(B) + max(C) <= max_k,
+    one b = max(B) at a time, as int32 rows[i, j] = B_i + C_j.  Rooted,
+    B_i = {0, b} | (i << 1) and C_j = 2j + 1 runs over the 0-rooted sets;
+    otherwise B_i = {b} | i and C_j = j + 1.  C_j ascends, so max C never
+    falls along a row.  Masks are int32, so max_k <= 30.
     """
     import numpy as np
 
-    size = 2 << max_k
     step, first = (2, 1) if rooted else (1, 0)
-    table = np.zeros(size, dtype=np.int64)
     for b in range(max_k + 1):
         cs = np.arange(1, 2 << (max_k - b), step, dtype=np.int32)
         # Start from B = {0, b} (rooted) or {b}; each element e in
@@ -123,6 +102,25 @@ def _divisor_table(max_k: int, rooted: bool = True):
         for e in range(first, b):
             n = 1 << (e - first)
             np.bitwise_or(rows[:n], cs << e, out=rows[n : 2 * n])
+        yield rows
+
+
+def _divisor_table(max_k: int, rooted: bool = True):
+    """d(A) for every 0-rooted A with max(A) <= max_k, as a numpy array
+    indexed by mask; entries at even masks are 0.  With rooted=False, d(A)
+    for every nonempty A with max(A) <= max_k, counted from all pairs
+    without the reduction to 0-rooted sets.
+
+    The distinct entries of row i of _pair_rows are exactly the sets B_i
+    divides, so counting them per set counts its divisors.  That is
+    (max_k + 1) * 2^(max_k - 1) pairs rooted and max_k * 2^(max_k + 1) + 1
+    in all.
+    """
+    import numpy as np
+
+    size = 2 << max_k
+    table = np.zeros(size, dtype=np.int64)
+    for rows in _pair_rows(max_k, rooted):
         rows.sort(axis=1)
         distinct = np.ones(rows.shape, dtype=bool)
         distinct[:, 1:] = rows[:, 1:] != rows[:, :-1]
@@ -143,66 +141,98 @@ def _set_text(mask: int) -> str:
     return str(FiniteSet.from_mask(mask))
 
 
-# ---------------------------------------------------------------------------
-# Worker chunk function (top-level for pickling).
+def _promotion_members(max_k: int):
+    """The promoted families of every 0-rooted A with max(A) <= k, for
+    each k in 1..max_k, read off the rooted sieve pairs (B, C), B + C = A.
 
-def _promotion_chunk(tasks: list) -> list:
+    Yields k, m and int64 arrays a, b, member for the a with max(a) = m,
+    m descending from k: one entry per member of the family of divisor b
+    of a, sorted by (a, member, b) without repeats.  A pair adds b when
+    max b <= max c, and promote(a, k, b, max c) when max b >= max c: in
+    bits, b | (missing & [0, max c)) | (missing >> max c), missing = [k] - a.
+    Keys pack the three odd masks without bit 0 in 3k bits: max_k <= 21.
+    """
+    import numpy as np
+
+    rows = list(_pair_rows(max_k))
+    for k in range(1, max_k + 1):
+        full = (2 << k) - 1
+        for m in range(k, -1, -1):
+            keys = []
+            for top in range(m + 1):  # max B; the columns with max C = m - top
+                low = m - top
+                a = rows[top][:, (1 << low) >> 1 : 1 << low].astype(np.int64)
+                b = 1 | 1 << top | np.arange(len(a), dtype=np.int64)[:, None] << 1
+                if top <= low:
+                    keys.append(_member_keys(k, a, b, b))
+                if top >= low:
+                    missing = full & ~a
+                    promoted = b | missing & ((1 << low) - 1) | missing >> low
+                    keys.append(_member_keys(k, a, promoted, b))
+            keys = np.concatenate(keys)
+            keys.sort()
+            distinct = np.ones(len(keys), dtype=bool)
+            distinct[1:] = keys[1:] != keys[:-1]
+            keys = keys[distinct]
+            bits = (1 << k) - 1
+            a = keys >> 2 * k << 1 | 1
+            member = (keys >> k & bits) << 1 | 1
+            b = (keys & bits) << 1 | 1
+            del keys  # the consumer holds three arrays of this size, not four
+            yield k, m, a, b, member
+
+
+def _member_keys(k: int, a, member, b):
+    """(a, member, b) packed into one int64 per entry, in that order."""
+    return ((a >> 1) << 2 * k | (member >> 1) << k | b >> 1).ravel()
+
+
+def _promotion_failures(max_k: int) -> list:
+    """Every 0-rooted A with max(A) <= k <= max_k whose promoted families
+    share a member, hold a non-divisor of [k], or (proper A, k >= 3) hold
+    its witness factor: promotion.verify_promotion_disjointness over all
+    of them at once."""
+    import numpy as np
+
     bad = []
-    for k, mask in tasks:
-        a = FiniteSet.from_mask(mask)
-        if not promotion.verify_promotion_disjointness(a, k):
-            bad.append({"set": str(a), "k": k, "issue": "promotion families"})
+    for k, m, a, b, member in _promotion_members(max_k):
+        full = (2 << k) - 1
+        if m == k:  # the first block of each k holds the pairs of [k]
+            divides_full = np.zeros(2 << k, dtype=bool)
+            divides_full[b[a == full]] = True
+        flag = ~divides_full[member]
+        # Sorted by (a, member, b), so a member of two families is adjacent.
+        flag[1:] |= (a[1:] == a[:-1]) & (member[1:] == member[:-1])
+        if k >= 3:  # the witness depends on a only at a = [k] - {2}
+            odd_one = full & ~4
+            usual, other = (
+                promotion.witness_factor(k, FiniteSet.from_mask(s)).mask
+                for s in (1 | 1 << k, odd_one)
+            )
+            proper = (member == usual) & (a != full)
+            flag |= np.where(a == odd_one, member == other, proper)
+        bad.extend(
+            {"set": _set_text(s), "k": k, "issue": "promotion families"}
+            for s in sorted(set(a[flag].tolist()))
+        )
     return bad
-
-
-def _run_chunks(fn, chunk_args: list, workers: int) -> tuple[list, int]:
-    """fn over every chunk, merged; also the number of workers used."""
-    used = max(1, min(workers, len(chunk_args)))
-    if used == 1:
-        results = [fn(a) for a in chunk_args]
-    else:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=used) as ex:
-            results = list(ex.map(fn, chunk_args))
-    merged = []
-    for r in results:
-        merged.extend(r)
-    return merged, used
-
-
-def _ranges(total: int, pieces: int) -> list[tuple[int, int]]:
-    pieces = max(1, min(pieces, total))
-    step = max(1, -(-total // pieces))
-    return [(i, min(i + step, total)) for i in range(0, total, step)]
 
 
 # ---------------------------------------------------------------------------
 # Theorem targets.
 
-def run_crlodd(
-    max_k: int = 14, promotion_max_k: int = 10, workers: int = 1
-) -> VerificationReport:
+def run_crlodd(max_k: int = 14, promotion_max_k: int = 10) -> VerificationReport:
     """[k] is the unique d-maximum among 0-rooted sets with max <= k,
     plus the promotion-family disjointness that underpins it."""
+    bad = _promotion_failures(promotion_max_k)  # first, so the peaks never add
     table = _divisor_table(max_k)
     full = interval(max_k).mask
     limit = int(table[full])
-    bad = [
+    bad.extend(
         {"set": _set_text(mask), "d": int(table[mask]), "limit": limit}
         for mask in (table >= limit).nonzero()[0].tolist()
         if mask != full
-    ]
-
-    tasks = [
-        (k, mask)
-        for k in range(1, promotion_max_k + 1)
-        for mask in range(1, 1 << (k + 1), 2)
-    ]
-    task_chunks = [tasks[lo:hi] for lo, hi in _ranges(len(tasks), workers * 4)]
-    promotion_bad, used = _run_chunks(_promotion_chunk, task_chunks, workers)
-    bad.extend(promotion_bad)
-
+    )
     bad.sort(key=lambda c: (c.get("k", -1), c["set"]))
     return VerificationReport(
         target="crlodd",
@@ -210,7 +240,6 @@ def run_crlodd(
         status="pass" if not bad else "fail",
         counterexamples=bad,
         details={"d_full_interval": limit},
-        worker_count=used,
     )
 
 
@@ -428,19 +457,13 @@ _RUNNERS = {
     "pi2": run_pi2,
 }
 
-# Targets that split their work over worker processes.
-_CHUNKED = ("crlodd",)
 
-
-def run_target(name: str, workers: int | None = None, **params) -> VerificationReport:
+def run_target(name: str, **params) -> VerificationReport:
     """Run one verification target by name, timing it.  Parameters are
     range-checked before any work starts."""
     if name not in _RUNNERS:
         known = ", ".join(sorted(_RUNNERS))
         raise PreconditionError(f"unknown target {name!r}; known: {known}")
-    if workers is None:
-        workers = default_workers()
-    workers = max(1, min(workers, os.cpu_count() or 1))
     kwargs = dict(_DEFAULTS[name])
     for key, value in params.items():
         if value is None:
@@ -457,8 +480,6 @@ def run_target(name: str, workers: int | None = None, **params) -> VerificationR
             raise CapacityError(
                 f"{key} {kwargs[key]} exceeds the bound {bound} for target {name!r}"
             )
-    if name in _CHUNKED:
-        kwargs["workers"] = workers
     start = time.perf_counter()
     report = _RUNNERS[name](**kwargs)
     report.elapsed = time.perf_counter() - start

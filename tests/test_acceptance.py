@@ -32,7 +32,7 @@ from sumdiv import (
     to_set_array,
     weighted_row_sum,
 )
-from sumdiv.verify import default_workers, run_target
+from sumdiv.verify import run_target
 
 F_TABLE_5x10 = [
     [1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
@@ -160,9 +160,7 @@ def test_05_worked_figures():
 
 def test_06_crlodd():
     def check():
-        r = run_target(
-            "crlodd", workers=default_workers(), max_k=14, promotion_max_k=10
-        )
+        r = run_target("crlodd", max_k=14, promotion_max_k=10)
         assert r.status == "pass"
         assert r.counterexamples == []
 
@@ -171,7 +169,7 @@ def test_06_crlodd():
 
 def test_07_crleven():
     def check():
-        r = run_target("crleven", workers=default_workers(), max_k=12)
+        r = run_target("crleven", max_k=12)
         assert r.status == "pass"
         assert r.counterexamples == []
         assert set(r.details["ties"]) == {1, 3}
@@ -181,7 +179,7 @@ def test_07_crleven():
 
 def test_08_translation_lemma():
     def check():
-        r = run_target("L15", workers=default_workers(), max_k=12)
+        r = run_target("L15", max_k=12)
         assert r.status == "pass"
         assert r.counterexamples == []
 
@@ -213,7 +211,7 @@ def test_09_inequality_lemmas():
 
 def test_10_base_b_maximum():
     def check():
-        r = run_target("bases", workers=default_workers(), max_k=5)
+        r = run_target("bases", max_k=5)
         assert r.status == "pass"
         assert r.counterexamples == []
 
@@ -222,12 +220,12 @@ def test_10_base_b_maximum():
 
 def test_11_conjecture_probes():
     def check():
-        odd2 = run_target("odd2", workers=default_workers(), max_k=14)
+        odd2 = run_target("odd2", max_k=14)
         assert odd2.status == "evidence-only"
         for row in odd2.details["rows"]:
             if row["covered_by_conjecture"]:
                 assert row["predicted_hit"]
-        pi2 = run_target("pi2", workers=default_workers(), max_k=14)
+        pi2 = run_target("pi2", max_k=14)
         assert pi2.status == "evidence-only"
         assert len(pi2.details["rows"]) == 14
 

@@ -5,6 +5,8 @@ stability of JSON reports.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumdiv.cli import main, parse_set
 from sumdiv.errors import ParseError
@@ -142,48 +144,39 @@ class TestTables:
         assert code == 0
         assert json.loads(out) == [[1], [1, 1], [1, 1, 1]]
 
-    def test_export(self, capsys, tmp_path):
-        target = tmp_path / "h.csv"
-        code, out, _ = run(
-            capsys, "export", "H", "--rows", "4", "--out", str(target)
-        )
-        assert code == 0
-        assert target.read_text().splitlines() == [
-            "1",
-            "1,1",
-            "1,1,1",
-            "1,2,1,1",
-        ]
-
 
 class TestVerifyCommand:
     def test_pass_and_tie_note(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "crleven", "--max-k", "3", "--workers", "1"
-        )
+        code, out, _ = run(capsys, "verify", "crleven", "--max-k", "3")
         assert code == 0
         assert "status: pass" in out
         assert "{2, 3}" in out  # the documented tie at k = 3
 
     def test_json_data_section_stable(self, capsys):
-        args = ("verify", "L15", "--max-k", "6", "--workers", "1", "--json")
+        args = ("verify", "L15", "--max-k", "6", "--json")
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert json.loads(out1)["data"] == json.loads(out2)["data"]
         assert "elapsed_seconds" in json.loads(out1)["meta"]
 
     def test_conjecture_reports_evidence_only(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "odd2", "--max-k", "6", "--workers", "1", "--json"
-        )
+        code, out, _ = run(capsys, "verify", "odd2", "--max-k", "6", "--json")
         assert code == 0
         assert json.loads(out)["data"]["status"] == "evidence-only"
 
-    def test_worker_independence(self, capsys):
-        base = ("verify", "crlodd", "--max-k", "6", "--promotion-max-k", "5", "--json")
-        _, out1, _ = run(capsys, *base, "--workers", "1")
-        _, out2, _ = run(capsys, *base, "--workers", "3")
+    def test_worker_independence(self, capsys, monkeypatch):
+        # SUMDIV_WORKERS, once the worker count, is ignored.
+        args = ("verify", "crlodd", "--max-k", "6", "--promotion-max-k", "5", "--json")
+        _, out1, _ = run(capsys, *args)
+        monkeypatch.setenv("SUMDIV_WORKERS", "3")
+        _, out2, _ = run(capsys, *args)
         assert json.loads(out1)["data"] == json.loads(out2)["data"]
+        assert json.loads(out2)["meta"]["worker_count"] == 1
+
+    def test_no_workers_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "crlodd", "--workers", "2"])
+        assert exc.value.code == 2
 
 
 class TestExitCodes:
@@ -247,3 +240,80 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every subcommand, small bounded arguments, no escaping exception.
+
+_small = st.integers(min_value=-2, max_value=9).map(str)
+_set_literal = st.one_of(
+    st.lists(st.integers(min_value=-1, max_value=10), max_size=5).map(
+        lambda xs: ",".join(map(str, xs))
+    ),
+    st.integers(min_value=-1, max_value=8).map(lambda k: f"[{k}]"),
+    st.integers(min_value=-1, max_value=8).map(lambda k: f"[{k}+]"),
+    st.sampled_from(["", "[", "[x]", "1,,a", "0;1"]),
+)
+_lunar_literal = st.builds(
+    lambda digits, base: f"{digits}@{base}",
+    st.text("0123456789", max_size=4),
+    st.integers(min_value=-1, max_value=11),
+) | st.sampled_from(["", "12", "@10", "1@x", "1@@2"])
+_json = st.sampled_from([[], ["--json"]])
+
+
+def _verify_argv(target, max_k, promotion_max_k, json_flag):
+    argv = ["verify", target, "--max-k", max_k] + json_flag
+    if promotion_max_k is not None:
+        argv += ["--promotion-max-k", promotion_max_k]
+    return argv
+
+
+_argv = st.one_of(
+    st.tuples(st.just("sum"), _set_literal, _set_literal).map(list),
+    st.tuples(
+        st.sampled_from(["divisors", "count", "irreducible"]), _set_literal
+    ).map(list),
+    st.tuples(
+        st.just("lunar"), st.sampled_from(["add", "mul"]), _lunar_literal, _lunar_literal
+    ).map(list),
+    st.tuples(st.just("lunar"), st.just("divisors"), _lunar_literal).map(list),
+    st.builds(lambda s: ["beta", s], _set_literal),
+    st.builds(lambda n: ["beta", n, "--inverse"], _lunar_literal),
+    st.builds(
+        lambda a, k, f, m: ["promote", a, k, f, m],
+        _set_literal, _small, _set_literal, _small,
+    ),
+    st.builds(
+        lambda n, extra: ["compositions", n] + extra,
+        st.integers(min_value=-2, max_value=12).map(str),
+        st.sampled_from([[], ["--count"]]) | _small.map(lambda m: ["--parts", m]),
+    ),
+    st.builds(
+        lambda kind, rows, cols, fmt: ["table", kind, "--rows", rows]
+        + ([] if cols is None else ["--cols", cols])
+        + ["--format", fmt],
+        st.sampled_from(["F", "H", "G"]),
+        _small,
+        st.none() | _small,
+        st.sampled_from(["plain", "csv", "json"]),
+    ),
+    st.builds(
+        _verify_argv,
+        st.sampled_from(["crlodd", "crleven", "L15", "bases", "odd2", "pi2"]),
+        st.integers(min_value=-1, max_value=4).map(str),
+        st.none() | st.integers(min_value=-1, max_value=6).map(str),
+        _json,
+    ),
+    st.lists(st.sampled_from(["verify", "table", "--rows", "x", "-1"]), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv)
+def test_fuzz_exit_codes(argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code in (0, 1, 2, 3), argv

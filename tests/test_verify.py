@@ -1,13 +1,15 @@
 """Verification harness: report structure, target dispatch, range checks,
 and agreement between the divisor table in both modes, the direct counter
-and the library's divisor counting.
+and the library's divisor counting, and between the promotion sieve and
+promotion.py.
 """
 
-import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sumdiv
@@ -17,8 +19,11 @@ from sumdiv import (
     PreconditionError,
     count_irreducible,
     divisor_count,
+    divisors,
     headstrong_count,
+    promoted_family,
     verify,
+    verify_promotion_disjointness,
 )
 from sumdiv.verify import (
     CONJECTURE_TARGETS,
@@ -87,63 +92,104 @@ class TestDispatch:
 
     def test_unknown_parameter(self):
         with pytest.raises(PreconditionError):
-            run_target("L15", workers=1, bogus=3)
+            run_target("L15", bogus=3)
 
     def test_all_targets_run_small(self):
         for name in THEOREM_TARGETS:
-            r = run_target(name, workers=1, max_k=4)
+            r = run_target(name, max_k=4)
             assert r.status == "pass"
             assert r.counterexamples == []
         for name in CONJECTURE_TARGETS:
-            r = run_target(name, workers=1, max_k=5)
+            r = run_target(name, max_k=5)
             assert r.status == "evidence-only"
 
     def test_report_sections(self):
-        r = run_target("L15", workers=1, max_k=5)
+        r = run_target("L15", max_k=5)
         d = r.to_dict()
         assert set(d) == {"data", "meta"}
         assert "elapsed_seconds" in d["meta"]
         assert d["data"]["target"] == "L15"
 
     def test_crleven_records_documented_ties(self):
-        r = run_target("crleven", workers=1, max_k=4)
+        r = run_target("crleven", max_k=4)
         assert r.status == "pass"
         assert set(r.details["ties"]) == {1, 3}
 
     def test_negative_range_rejected(self):
         with pytest.raises(PreconditionError):
-            run_target("crlodd", workers=1, max_k=-1)
+            run_target("crlodd", max_k=-1)
         with pytest.raises(PreconditionError):
-            run_target("crlodd", workers=1, max_k=4, promotion_max_k=-1)
+            run_target("crlodd", max_k=4, promotion_max_k=-1)
 
     def test_range_upper_bounds(self):
         for name in THEOREM_TARGETS + CONJECTURE_TARGETS:
             with pytest.raises(CapacityError):
-                run_target(name, workers=1, max_k=10**9)
+                run_target(name, max_k=10**9)
         with pytest.raises(CapacityError):
-            run_target("crlodd", workers=1, max_k=4, promotion_max_k=10**9)
+            run_target("crlodd", max_k=4, promotion_max_k=10**9)
 
     def test_no_promotion_tasks(self):
-        r = run_target("crlodd", workers=4, max_k=4, promotion_max_k=0)
+        r = run_target("crlodd", max_k=4, promotion_max_k=0)
         assert r.status == "pass"
-        assert r.worker_count == 1
+        assert r.counterexamples == []
 
     def test_worker_count_reports_workers_used(self):
-        for name in ("crleven", "L15", "bases", "odd2", "pi2"):
-            assert run_target(name, workers=5, max_k=3).worker_count == 1
-        # k = 1 holds two promotion tasks, so two chunks.
-        r = run_target("crlodd", workers=5, max_k=3, promotion_max_k=1)
-        assert r.worker_count == min(2, os.cpu_count() or 1)
+        # Every target runs in the calling process.
+        for name in THEOREM_TARGETS + CONJECTURE_TARGETS:
+            meta = run_target(name, max_k=3).to_dict()["meta"]
+            assert meta["worker_count"] == 1
 
-    def test_workers_clamped_to_cpu_count(self):
-        r = run_target("crlodd", workers=64, max_k=2, promotion_max_k=2)
+    def test_crlodd_stretch_promotion_range(self):
+        r = run_target("crlodd", promotion_max_k=14)
         assert r.status == "pass"
-        assert 1 <= r.worker_count <= (os.cpu_count() or 1)
+        assert r.counterexamples == []
 
-    def test_worker_count_does_not_change_data(self):
-        one = run_target("crlodd", workers=1, max_k=6, promotion_max_k=4)
-        two = run_target("crlodd", workers=2, max_k=6, promotion_max_k=4)
-        assert one.data_dict() == two.data_dict()
+    def test_promotion_sieve_matches_oracle(self):
+        # Per (k, A): the total size of the promoted families, the size of
+        # their union, and the verdict, against promotion.py.
+        total, union = Counter(), set()
+        for k, _, a, _, member in verify._promotion_members(7):
+            total.update((k, m) for m in a.tolist())
+            union.update(zip([k] * len(a), a.tolist(), member.tolist()))
+        union = Counter((k, m) for k, m, _ in union)
+        failures = []
+        for k in range(1, 8):
+            for mask in range(1, 1 << (k + 1), 2):
+                a = FiniteSet.from_mask(mask)
+                families = [promoted_family(a, k, b).members for b in divisors(a)]
+                assert total[k, mask] == sum(map(len, families)), (k, mask)
+                assert union[k, mask] == len(frozenset().union(*families)), (k, mask)
+                if not verify_promotion_disjointness(a, k):
+                    failures.append({"set": str(a), "k": k, "issue": "promotion families"})
+        assert verify._promotion_failures(7) == failures
+
+    @pytest.mark.parametrize(
+        "planted_member",
+        [
+            (0, 1, 2),  # the family of {0, 1, 2}: an overlap
+            (0, 5),  # not a divisor of [6]
+            (0, 1, 3, 5),  # the witness factor of A
+        ],
+    )
+    def test_promotion_reports_planted_fault(self, monkeypatch, planted_member):
+        # Within A = {0, 1, 2, 4, 5, 6} and k = 6, the family of {0, 4} is
+        # {{0, 1, 4}}.  Promote {0, 4} to the planted member instead; each
+        # breaks one check, and the sweep must report exactly that (k, A).
+        k, a = 6, FiniteSet((0, 1, 2, 4, 5, 6))
+        victim, stolen = FiniteSet((0, 4)).mask, FiniteSet(planted_member).mask
+        member_keys = verify._member_keys
+
+        def planted(kk, aa, member, b):
+            if kk == k:
+                member = np.where((aa == a.mask) & (b == victim), stolen, member)
+            return member_keys(kk, aa, member, b)
+
+        monkeypatch.setattr(verify, "_member_keys", planted)
+        r = run_target("crlodd", max_k=7, promotion_max_k=7)
+        assert r.status == "fail"
+        assert r.counterexamples == [
+            {"set": str(a), "k": k, "issue": "promotion families"}
+        ]
 
     def test_l15_stretch_range(self):
         r = run_target("L15", max_k=16)
@@ -170,7 +216,7 @@ class TestDispatch:
         ]
 
     def test_odd2_prediction_rows(self):
-        r = run_target("odd2", workers=1, max_k=8)
+        r = run_target("odd2", max_k=8)
         for row in r.details["rows"]:
             if row["covered_by_conjecture"]:
                 assert row["predicted_hit"]
