@@ -186,12 +186,7 @@ def setarray_divides(y: SetArray, x: SetArray) -> bool:
     return lunar_divides(beta_b(y), beta_b(x))
 
 
-def setarray_divisors(
-    x: SetArray,
-    *,
-    max_height: int = MAX_SEARCH_HEIGHT,
-    max_element: int = MAX_SEARCH_ELEMENT,
-) -> list[SetArray]:
+def setarray_divisors(x: SetArray) -> list[SetArray]:
     """All same-height divisors of x, by brute force.
 
     Every chain inside the bounding box [0, max(A_1)] is a candidate,
@@ -202,11 +197,11 @@ def setarray_divisors(
         raise PreconditionError("the zero multiset has no divisor list")
     h = x.height
     top = x.coords[0].max
-    if h > max_height or top > max_element:
+    if h > MAX_SEARCH_HEIGHT or top > MAX_SEARCH_ELEMENT:
         raise BudgetError(
             f"set-array divisor search over height {h}, max element {top} "
-            f"exceeds the budget (height <= {max_height}, "
-            f"element <= {max_element})"
+            f"exceeds the budget (height <= {MAX_SEARCH_HEIGHT}, "
+            f"element <= {MAX_SEARCH_ELEMENT})"
         )
     out = [
         to_set_array(dict(enumerate(yd)), h)

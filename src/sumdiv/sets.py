@@ -15,7 +15,8 @@ from .errors import CapacityError, EmptyOperandError, PreconditionError
 # Elements above this bound are rejected at construction time.
 ELEMENT_BOUND = 63
 
-# Divisor enumeration walks subsets of the 0-rooted core, i.e. O(2^max).
+# Divisor enumeration walks subsets of the 0-rooted core, i.e. O(2^max);
+# the irreducibility test walks subsets of the core's lower half.
 ENUMERATION_BOUND = 24
 
 
@@ -258,6 +259,11 @@ def _core_is_irreducible(core_mask: int) -> bool:
     # normalized so max(B) <= max(C), i.e. max(B) <= max(core) // 2.
     top = core_mask.bit_length() - 1
     pool = core_mask & ((1 << (top // 2 + 1)) - 1) & ~1
+    if pool.bit_count() > ENUMERATION_BOUND:
+        raise CapacityError(
+            f"irreducibility test over {pool.bit_count()} elements exceeds "
+            f"the enumeration bound {ENUMERATION_BOUND}"
+        )
     for sub in _iter_submasks(pool):
         if sub == 0:
             continue
@@ -267,7 +273,8 @@ def _core_is_irreducible(core_mask: int) -> bool:
 
 
 def is_irreducible(a: FiniteSet) -> bool:
-    """True iff a admits no factorization with both factors of size >= 2."""
+    """True iff a admits no factorization with both factors of size >= 2;
+    CapacityError past 2^ENUMERATION_BOUND candidate factors."""
     if len(a) < 2:
         raise PreconditionError("irreducibility is undefined for |a| < 2")
     return _core_is_irreducible(a.mask >> a.min)

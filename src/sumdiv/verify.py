@@ -3,33 +3,35 @@
 Theorem targets report pass/fail with explicit counterexamples; conjecture
 probes only ever report evidence.  One pair-sieve table of divisor counts
 (numpy, imported only when a sweep runs) serves crlodd, crleven, odd2 and
-pi2.  L15 checks it, through the translation lemma, against the same
-sieve run over all pairs of sets, with no reduction to 0-rooted sets.
-bases counts the divisors of a multiset as the lunar divisors of its
-digit string beta_b.  crlodd's promotion phase reads the same rooted
-pairs as the table.  Every target runs in the calling process.
+pi2; crlodd's promotion phase reads the same rooted pairs.  L15 checks the
+table, through the translation lemma, against the sieve over all pairs.
+bases runs a pure-Python pair sieve over multisets packed as chains of
+sets, so it never loads numpy.  Every target runs in the calling process.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
-from . import multiset, promotion
+from . import promotion
 from .errors import CapacityError, PreconditionError
-from .lunar import LunarNumber, _divisor_digits
+from .multiset import setarray_divisor_count_formula
 from .sets import FiniteSet, interval
-from .multiset import SetArray, setarray_divisor_count_formula
 
 THEOREM_TARGETS = ("crlodd", "crleven", "L15", "bases")
 CONJECTURE_TARGETS = ("odd2", "pi2")
+
+# bases checks the chain-count formula on the 0-rooted sets within [5].
+FORMULA_MAX_ELEMENT = 5
+FORMULA_HEIGHTS = (2, 3)
 
 _DEFAULTS = {
     "crlodd": {"max_k": 14, "promotion_max_k": 10},
     "crleven": {"max_k": 12},
     "L15": {"max_k": 12},
-    "bases": {"max_k": 5, "formula_max_element": 5, "formula_heights": (2, 3)},
+    "bases": {"max_k": 5},
     "odd2": {"max_k": 14},
     "pi2": {"max_k": 14},
 }
@@ -38,13 +40,14 @@ _DEFAULTS = {
 # divisor table peaks near 200 MB at max_k = 22; L15 holds both of its
 # sides and builds the larger all-pairs table, and peaks near 200 MB at
 # max_k = 21 (380 MB at 22).  bases keeps d for 3^(max_k+1) multisets
-# (50 MB at 10).  crlodd's promotion phase peaks near 210 MB at
-# promotion_max_k = 20 (400 MB at 21) and runs before the table.
+# and peaks near 130 MB at max_k = 11 (370 MB at 12).  crlodd's promotion
+# phase peaks near 210 MB at promotion_max_k = 20 (400 MB at 21) and runs
+# before the table.
 _BOUNDS = {
     "crlodd": {"max_k": 22, "promotion_max_k": 20},
     "crleven": {"max_k": 22},
     "L15": {"max_k": 21},
-    "bases": {"max_k": 10},
+    "bases": {"max_k": 11},
     "odd2": {"max_k": 22},
     "pi2": {"max_k": 22},
 }
@@ -300,78 +303,70 @@ def run_l15(max_k: int = 12) -> VerificationReport:
     )
 
 
-def _multiset_divisor_counts(max_k: int, height: int) -> dict:
-    """d of every nonzero multiset with elements <= max_k and
-    multiplicities <= height, keyed by its multiplicity tuple.  The
-    multiplicities are the digits of beta_b, whose lunar divisors are the
-    multiset's divisors."""
-    counts = {}
-    for mults in itertools.product(range(height + 1), repeat=max_k + 1):
-        n = LunarNumber(height + 1, mults)  # drops trailing zeros
-        if not n.is_zero:
-            counts[mults] = sum(1 for _ in _divisor_digits(n.digits, n.base))
-    return counts
+def _chain_table(max_k: int, height: int) -> Counter:
+    """d of every nonzero multiset with elements <= max_k and multiplicities
+    <= height, counted from all pairs (Y, Z) with max Y + max Z <= max_k:
+    the multiset counterpart of _divisor_table(max_k, rooted=False).
+
+    A multiset is packed as its chain A_1 >= ... >= A_height, coordinate i
+    in bits [i (max_k + 1), (i + 1) (max_k + 1)).  Y + Z is the OR, over
+    each element e of Z with multiplicity m, of the first m coordinates of
+    Y shifted by e: the empty set absorbs, and no coordinate overflows.
+    """
+    width = max_k + 1
+    column = [sum(1 << i * width for i in range(m)) for m in range(height + 1)]
+    first = [c * ((1 << width) - 1) for c in column]  # the first m coordinates
+    chains = [0]
+    for e in range(width):
+        chains = [x | c << e for x in chains for c in column]
+    table = Counter()
+    for y in chains[1:]:  # chains[0] is the zero multiset
+        # Grow the products over Z one element at a time, without repeats.
+        parts = {y & f for f in first}
+        products = {0}
+        for e in range(width - (y & first[1]).bit_length() + 1):
+            products = {p | q << e for p in products for q in parts}
+        products.discard(0)
+        table.update(products)
+    return table
 
 
-def run_bases(
-    max_k: int = 5,
-    formula_max_element: int = 5,
-    formula_heights: tuple[int, ...] = (2, 3),
-) -> VerificationReport:
+def run_bases(max_k: int = 5) -> VerificationReport:
     """Height-2 multisets have their unique d-maximum at ([k], {}), and the
-    chain-count formula matches brute-force set-array enumeration."""
+    chain-count formula matches the sieve on (A, {}, ...) at each height."""
+    # One height-2 table serves both sides: a divisor of X has max <= max X.
+    top = max(max_k, FORMULA_MAX_ELEMENT)
+    tables = {2: _chain_table(top, 2), 3: _chain_table(FORMULA_MAX_ELEMENT, 3)}
     bad = []
-
     # Exhaustive maximum over multiplicity-<=2 multisets with elements <= k.
-    height = 2
-    d_by_mults = _multiset_divisor_counts(max_k, height)
     for k in range(1, max_k + 1):
-        target_mults = tuple(1 for _ in range(k + 1))
-        target_d = setarray_divisor_count_formula(interval(k), height)
-        if d_by_mults[target_mults + (0,) * (max_k - k)] != target_d:
+        full = interval(k).mask  # ([k], {}) packs as its first coordinate
+        d_max = setarray_divisor_count_formula(interval(k), 2)
+        if tables[2][full] != d_max:
             bad.append({"k": k, "issue": "formula mismatch at [k]_2"})
-        for mults, d in d_by_mults.items():
-            if any(m for e, m in enumerate(mults) if e > k):
-                continue
-            if mults == target_mults + (0,) * (max_k - k):
-                continue
-            if d >= target_d:
+        rivals = sorted(  # by (m_0, ..., m_top), m_e = [e in A_1] + [e in A_2]
+            (tuple((x >> e & 1) + (x >> top + 1 + e & 1) for e in range(top + 1)), d)
+            for x, d in tables[2].items()
+            if d >= d_max and x & ((2 << top) - 1) < 2 << k and x != full
+        )
+        for ms, d in rivals:
+            multiset = {e: m for e, m in enumerate(ms) if m}
+            bad.append({"k": k, "multiset": multiset, "d": d, "d_max": d_max})
+    # The chain-count formula, sum of b^|B| over the divisors B of A.
+    for b in FORMULA_HEIGHTS:
+        for mask in range(1, 2 << FORMULA_MAX_ELEMENT, 2):
+            d = tables[b][mask]
+            f = setarray_divisor_count_formula(FiniteSet.from_mask(mask), b)
+            if d != f:
                 bad.append(
-                    {
-                        "k": k,
-                        "multiset": {e: m for e, m in enumerate(mults) if m},
-                        "d": d,
-                        "d_max": target_d,
-                    }
+                    {"set": _set_text(mask), "height": b, "oracle": d, "formula": f}
                 )
-
-    # Formula vs brute-force oracle on plain-set arrays.
-    for b in formula_heights:
-        for mask in range(1, 1 << (formula_max_element + 1), 2):
-            a = FiniteSet.from_mask(mask)
-            arr = SetArray((a,) + (multiset.EMPTY,) * (b - 1))
-            oracle = len(
-                multiset.setarray_divisors(
-                    arr, max_height=max(b, 3), max_element=formula_max_element
-                )
-            )
-            formula = setarray_divisor_count_formula(a, b)
-            if oracle != formula:
-                bad.append(
-                    {
-                        "set": str(a),
-                        "height": b,
-                        "oracle": oracle,
-                        "formula": formula,
-                    }
-                )
-
     return VerificationReport(
         target="bases",
         range={
             "max_k": max_k,
-            "formula_max_element": formula_max_element,
-            "formula_heights": list(formula_heights),
+            "formula_max_element": FORMULA_MAX_ELEMENT,
+            "formula_heights": list(FORMULA_HEIGHTS),
         },
         status="pass" if not bad else "fail",
         counterexamples=bad,

@@ -211,6 +211,7 @@ class TestExitCodes:
             ("compositions", "1200", "--parts", "3"),
             ("table", "H", "--rows", "2000"),
             ("table", "F", "--rows", "3000"),
+            ("irreducible", ",".join(map(str, [*range(31), 63]))),
         ],
     )
     def test_size_budget_error_is_1(self, capsys, argv):

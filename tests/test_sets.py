@@ -210,6 +210,14 @@ class TestIrreducible:
         with pytest.raises(PreconditionError):
             is_irreducible(fs(3))
 
+    def test_enumeration_bound(self):
+        # [48] walks the 24 elements 1..24; [63] would walk 31.
+        assert not is_irreducible(interval(48))
+        with pytest.raises(CapacityError):
+            is_irreducible(interval(63))
+        with pytest.raises(CapacityError):
+            is_irreducible(FiniteSet([*range(31), 63]))
+
     @staticmethod
     def _naive_irreducible(a: frozenset) -> bool:
         # No B + C = a with both factors of size >= 2.

@@ -1,9 +1,10 @@
 """Verification harness: report structure, target dispatch, range checks,
 and agreement between the divisor table in both modes, the direct counter
-and the library's divisor counting, and between the promotion sieve and
-promotion.py.
+and the library's divisor counting, between the promotion sieve and
+promotion.py, and between the chain sieve and the lunar divisor lists.
 """
 
+import itertools
 import subprocess
 import sys
 from collections import Counter
@@ -21,20 +22,37 @@ from sumdiv import (
     divisor_count,
     divisors,
     headstrong_count,
+    interval,
     promoted_family,
+    setarray_divisor_count_formula,
+    setarray_divisors,
+    to_set_array,
     verify,
     verify_promotion_disjointness,
 )
 from sumdiv.verify import (
     CONJECTURE_TARGETS,
     THEOREM_TARGETS,
+    _chain_table,
     _divisor_table,
     _general_table,
-    _multiset_divisor_counts,
     run_target,
 )
 
 from .oracles import direct_divisor_count, naive_divisors, naive_lunar_divisors
+
+
+def _nonzero_multisets(max_k: int, height: int):
+    """Every nonzero multiplicity tuple (m_0, ..., m_max_k), m_e <= height."""
+    tuples = itertools.product(range(height + 1), repeat=max_k + 1)
+    return [mults for mults in tuples if any(mults)]
+
+
+def _pack(mults: tuple) -> int:
+    """The chain of a multiplicity tuple in _chain_table's layout: element
+    e of coordinate i at bit i * len(mults) + e."""
+    width = len(mults)
+    return sum(1 << (i * width + e) for e, m in enumerate(mults) for i in range(m))
 
 
 class TestCounters:
@@ -70,14 +88,22 @@ class TestCounters:
             count_irreducible(k) for k in range(1, 13)
         ]
 
-    def test_multiset_counts_match_naive_lunar_divisors(self):
-        counts = _multiset_divisor_counts(3, 2)
-        assert len(counts) == 3**4 - 1
-        for mults, d in counts.items():
+    @pytest.mark.parametrize("max_k, height", [(3, 2), (2, 3)])
+    def test_chain_table_matches_naive_lunar_divisors(self, max_k, height):
+        table = _chain_table(max_k, height)
+        assert len(table) == (height + 1) ** (max_k + 1) - 1
+        for mults in _nonzero_multisets(max_k, height):
             digits = list(mults)
             while not digits[-1]:
                 digits.pop()
-            assert d == len(naive_lunar_divisors(tuple(digits), 3)), mults
+            naive = naive_lunar_divisors(tuple(digits), height + 1)
+            assert table[_pack(mults)] == len(naive), mults
+
+    def test_chain_table_matches_setarray_divisors(self):
+        table = _chain_table(5, 2)
+        for mults in _nonzero_multisets(5, 2):
+            x = to_set_array(dict(enumerate(mults)), 2)
+            assert table[_pack(mults)] == len(setarray_divisors(x)), mults
 
     def test_direct_matches_library(self):
         for mask in range(1, 1 << 8):
@@ -215,6 +241,58 @@ class TestDispatch:
             {"set": "{3, 4, 6}", "d": true_d, "formula": true_d + 1}
         ]
 
+    def test_bases_formula_knobs_removed(self):
+        with pytest.raises(PreconditionError):
+            run_target("bases", formula_max_element=4)
+        with pytest.raises(PreconditionError):
+            run_target("bases", formula_heights=(2,))
+
+    def test_bases_stretch_range(self):
+        r = run_target("bases", max_k=8)
+        assert r.status == "pass"
+        assert r.counterexamples == []
+
+    def test_bases_reports_planted_rival(self, monkeypatch):
+        # Raise one height-2 multiset within [4] to d([4]_2): it must show
+        # up as exactly one rival of [4]_2, and of no other [k]_2.
+        victim = (2, 0, 1, 0, 2, 0)  # {0: 2, 2: 1, 4: 2}, elements <= 5
+        d4 = setarray_divisor_count_formula(interval(4), 2)
+        chain_table = verify._chain_table
+
+        def planted(max_k, height):
+            table = chain_table(max_k, height)
+            if height == 2:
+                assert max_k == 5
+                table[_pack(victim)] = d4
+            return table
+
+        monkeypatch.setattr(verify, "_chain_table", planted)
+        r = run_target("bases")
+        assert r.status == "fail"
+        assert r.counterexamples == [
+            {"k": 4, "multiset": {0: 2, 2: 1, 4: 2}, "d": d4, "d_max": d4}
+        ]
+
+    def test_bases_reports_planted_formula_mismatch(self, monkeypatch):
+        # A wrong height-3 count for ({0, 2, 3}, {}, {}) must surface as
+        # exactly that formula record.
+        a = FiniteSet((0, 2, 3))
+        formula = setarray_divisor_count_formula(a, 3)
+        chain_table = verify._chain_table
+
+        def planted(max_k, height):
+            table = chain_table(max_k, height)
+            if height == 3:
+                table[a.mask] += 1
+            return table
+
+        monkeypatch.setattr(verify, "_chain_table", planted)
+        r = run_target("bases", max_k=3)
+        assert r.status == "fail"
+        assert r.counterexamples == [
+            {"set": "{0, 2, 3}", "height": 3, "oracle": formula + 1, "formula": formula}
+        ]
+
     def test_odd2_prediction_rows(self):
         r = run_target("odd2", max_k=8)
         for row in r.details["rows"]:
@@ -225,14 +303,19 @@ class TestDispatch:
 
 
 def test_import_does_not_load_numpy():
+    # Neither importing sumdiv nor running the lunar sweeps loads numpy.
     src = str(Path(sumdiv.__file__).resolve().parents[1])
-    code = "import sys, sumdiv, sumdiv.cli; print('numpy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=60,
-    )
-    assert out.stdout.strip() == "False"
+    for argv in (None, ["verify", "bases", "--max-k", "3"], ["lunar", "divisors", "1101@2"]):
+        code = "import sys, sumdiv, sumdiv.cli\n"
+        if argv is not None:
+            code += f"assert sumdiv.cli.main({argv!r}) == 0\n"
+        code += "print('numpy' in sys.modules, file=sys.stderr)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stderr.strip() == "False", argv
