@@ -173,12 +173,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    params = {}
-    if args.max_k is not None:
-        params["max_k"] = args.max_k
-    if args.promotion_max_k is not None:
-        params["promotion_max_k"] = args.promotion_max_k
-    report = verify.run_target(args.target, **params)
+    report = verify.run_target(
+        args.target, max_k=args.max_k, promotion_max_k=args.promotion_max_k
+    )
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:

@@ -217,19 +217,15 @@ def lunar_divides(y: LunarNumber, n: LunarNumber) -> bool:
     return _divides_digits(y.digits, n.digits, n.base - 1)
 
 
-def _check_enum_budget(base: int, length: int) -> None:
-    if base ** length > DIVISOR_ENUM_BUDGET:
-        raise BudgetError(
-            f"divisor enumeration over base {base}, length {length} exceeds "
-            f"the budget of {DIVISOR_ENUM_BUDGET} candidates"
-        )
-
-
 def lunar_divisors(n: LunarNumber) -> list[LunarNumber]:
     """All canonical y with y (x) z = n, ordered by (length, digit string)."""
     if n.is_zero:
         raise PreconditionError("lunar zero has no divisor list")
-    _check_enum_budget(n.base, len(n))
+    if n.base ** len(n) > DIVISOR_ENUM_BUDGET:
+        raise BudgetError(
+            f"divisor enumeration over base {n.base}, length {len(n)} exceeds "
+            f"the budget of {DIVISOR_ENUM_BUDGET} candidates"
+        )
     return [
         LunarNumber(n.base, yd) for yd in _divisor_digits(n.digits, n.base)
     ]

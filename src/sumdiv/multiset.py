@@ -10,14 +10,9 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .errors import BudgetError, ParseError, PreconditionError
-from .lunar import LunarNumber, _divisor_digits, lunar_divides
+from .errors import ParseError, PreconditionError
+from .lunar import LunarNumber, lunar_divides, lunar_divisors
 from .sets import EMPTY, FiniteSet, sumset
-
-# The general divisor search tries (height+1)^(max+1) candidate chains; it
-# is the brute-force side of the closed-form counts, so the budget is tight.
-MAX_SEARCH_HEIGHT = 3
-MAX_SEARCH_ELEMENT = 6
 
 
 class SetArray:
@@ -187,25 +182,15 @@ def setarray_divides(y: SetArray, x: SetArray) -> bool:
 
 
 def setarray_divisors(x: SetArray) -> list[SetArray]:
-    """All same-height divisors of x, by brute force.
-
-    Every chain inside the bounding box [0, max(A_1)] is a candidate,
-    read as a base-(height+1) number and tested by the lunar
-    maximal-quotient test against beta_b(x).  Strictly budget-limited.
+    """All same-height divisors of x: the lunar divisors of beta_b(x), read
+    back as chains.  BudgetError past lunar's DIVISOR_ENUM_BUDGET, that is,
+    (height+1)^(max+1) candidates.
     """
     if x.is_zero:
         raise PreconditionError("the zero multiset has no divisor list")
-    h = x.height
-    top = x.coords[0].max
-    if h > MAX_SEARCH_HEIGHT or top > MAX_SEARCH_ELEMENT:
-        raise BudgetError(
-            f"set-array divisor search over height {h}, max element {top} "
-            f"exceeds the budget (height <= {MAX_SEARCH_HEIGHT}, "
-            f"element <= {MAX_SEARCH_ELEMENT})"
-        )
     out = [
-        to_set_array(dict(enumerate(yd)), h)
-        for yd in _divisor_digits(beta_b(x).digits, h + 1)
+        to_set_array(dict(enumerate(y.digits)), x.height)
+        for y in lunar_divisors(beta_b(x))
     ]
     out.sort(key=lambda y: tuple(c.elements for c in y.coords))
     return out

@@ -15,9 +15,15 @@ from .errors import CapacityError, EmptyOperandError, PreconditionError
 # Elements above this bound are rejected at construction time.
 ELEMENT_BOUND = 63
 
-# Divisor enumeration walks subsets of the 0-rooted core, i.e. O(2^max);
-# the irreducibility test walks subsets of the core's lower half.
+# Divisor enumeration walks subsets of the 0-rooted core, i.e. O(2^max).
 ENUMERATION_BOUND = 24
+
+# The irreducibility test walks subsets of the core's lower half.  These
+# caps keep it under about 20 s in-process on 2 cores: 11 s for a
+# 20-element lower half, 16 s for count_irreducible(18), and about 4x and
+# 7x more per two elements past them.
+_IRREDUCIBLE_POOL_BOUND = 20
+_COUNT_IRREDUCIBLE_BOUND = 18
 
 
 class FiniteSet:
@@ -259,10 +265,10 @@ def _core_is_irreducible(core_mask: int) -> bool:
     # normalized so max(B) <= max(C), i.e. max(B) <= max(core) // 2.
     top = core_mask.bit_length() - 1
     pool = core_mask & ((1 << (top // 2 + 1)) - 1) & ~1
-    if pool.bit_count() > ENUMERATION_BOUND:
+    if pool.bit_count() > _IRREDUCIBLE_POOL_BOUND:
         raise CapacityError(
             f"irreducibility test over {pool.bit_count()} elements exceeds "
-            f"the enumeration bound {ENUMERATION_BOUND}"
+            f"the bound {_IRREDUCIBLE_POOL_BOUND}"
         )
     for sub in _iter_submasks(pool):
         if sub == 0:
@@ -274,7 +280,7 @@ def _core_is_irreducible(core_mask: int) -> bool:
 
 def is_irreducible(a: FiniteSet) -> bool:
     """True iff a admits no factorization with both factors of size >= 2;
-    CapacityError past 2^ENUMERATION_BOUND candidate factors."""
+    CapacityError past 2^_IRREDUCIBLE_POOL_BOUND candidate factors."""
     if len(a) < 2:
         raise PreconditionError("irreducibility is undefined for |a| < 2")
     return _core_is_irreducible(a.mask >> a.min)
@@ -284,7 +290,10 @@ def count_irreducible(k: int) -> int:
     """Number of irreducible A with max(A) = k, |A| >= 2, A within [0, k]."""
     if k < 1:
         raise PreconditionError("count_irreducible needs k >= 1")
-    _check_enum_bound(k)
+    if k > _COUNT_IRREDUCIBLE_BOUND:
+        raise CapacityError(
+            f"count_irreducible({k}) exceeds the bound {_COUNT_IRREDUCIBLE_BOUND}"
+        )
     top = 1 << k
     total = 0
     for rest in range(1 << k):

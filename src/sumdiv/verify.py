@@ -7,6 +7,10 @@ pi2; crlodd's promotion phase reads the same rooted pairs.  L15 checks the
 table, through the translation lemma, against the sieve over all pairs.
 bases runs a pure-Python pair sieve over multisets packed as chains of
 sets, so it never loads numpy.  Every target runs in the calling process.
+
+A target is one row of _TARGETS: its runner and each size parameter's
+default and bound.  Runners return their counterexamples and details, and
+run_target checks the parameters, times the runner and builds the report.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import promotion
 from .errors import CapacityError, PreconditionError
@@ -26,31 +31,6 @@ CONJECTURE_TARGETS = ("odd2", "pi2")
 # bases checks the chain-count formula on the 0-rooted sets within [5].
 FORMULA_MAX_ELEMENT = 5
 FORMULA_HEIGHTS = (2, 3)
-
-_DEFAULTS = {
-    "crlodd": {"max_k": 14, "promotion_max_k": 10},
-    "crleven": {"max_k": 12},
-    "L15": {"max_k": 12},
-    "bases": {"max_k": 5},
-    "odd2": {"max_k": 14},
-    "pi2": {"max_k": 14},
-}
-
-# Upper bounds on the size parameters, checked before any work starts.  The
-# divisor table peaks near 200 MB at max_k = 22; L15 holds both of its
-# sides and builds the larger all-pairs table, and peaks near 200 MB at
-# max_k = 21 (380 MB at 22).  bases keeps d for 3^(max_k+1) multisets
-# and peaks near 130 MB at max_k = 11 (370 MB at 12).  crlodd's promotion
-# phase peaks near 210 MB at promotion_max_k = 20 (400 MB at 21) and runs
-# before the table.
-_BOUNDS = {
-    "crlodd": {"max_k": 22, "promotion_max_k": 20},
-    "crleven": {"max_k": 22},
-    "L15": {"max_k": 21},
-    "bases": {"max_k": 11},
-    "odd2": {"max_k": 22},
-    "pi2": {"max_k": 22},
-}
 
 
 @dataclass
@@ -224,7 +204,7 @@ def _promotion_failures(max_k: int) -> list:
 # ---------------------------------------------------------------------------
 # Theorem targets.
 
-def run_crlodd(max_k: int = 14, promotion_max_k: int = 10) -> VerificationReport:
+def run_crlodd(max_k: int, promotion_max_k: int) -> tuple[list, dict]:
     """[k] is the unique d-maximum among 0-rooted sets with max <= k,
     plus the promotion-family disjointness that underpins it."""
     bad = _promotion_failures(promotion_max_k)  # first, so the peaks never add
@@ -237,16 +217,10 @@ def run_crlodd(max_k: int = 14, promotion_max_k: int = 10) -> VerificationReport
         if mask != full
     )
     bad.sort(key=lambda c: (c.get("k", -1), c["set"]))
-    return VerificationReport(
-        target="crlodd",
-        range={"max_k": max_k, "promotion_max_k": promotion_max_k},
-        status="pass" if not bad else "fail",
-        counterexamples=bad,
-        details={"d_full_interval": limit},
-    )
+    return bad, {"d_full_interval": limit}
 
 
-def run_crleven(max_k: int = 12) -> VerificationReport:
+def run_crleven(max_k: int) -> tuple[list, dict]:
     """[k+] = {1,...,k} is the d-maximum over all nonempty subsets of [k],
     unique except the documented ties at k = 1 and k = 3."""
     general = _general_table(_divisor_table(max_k))
@@ -272,16 +246,10 @@ def run_crleven(max_k: int = 12) -> VerificationReport:
             )
         if len(argmax) > 1:
             ties_seen[k] = sorted(_set_text(m) for m in argmax)
-    return VerificationReport(
-        target="crleven",
-        range={"max_k": max_k},
-        status="pass" if not bad else "fail",
-        counterexamples=bad,
-        details={"ties": ties_seen},
-    )
+    return bad, {"ties": ties_seen}
 
 
-def run_l15(max_k: int = 12) -> VerificationReport:
+def run_l15(max_k: int) -> tuple[list, dict]:
     """d(A) = (min(A)+1) d(A - {min A}) for every nonempty A within [max_k],
     checked against divisor counts from all pairs, without the reduction."""
     expected = _general_table(_divisor_table(max_k))
@@ -295,12 +263,7 @@ def run_l15(max_k: int = 12) -> VerificationReport:
         for mask in (actual != expected).nonzero()[0].tolist()
     ]
     bad.sort(key=lambda c: c["set"])
-    return VerificationReport(
-        target="L15",
-        range={"max_k": max_k},
-        status="pass" if not bad else "fail",
-        counterexamples=bad,
-    )
+    return bad, {}
 
 
 def _chain_table(max_k: int, height: int) -> Counter:
@@ -331,7 +294,7 @@ def _chain_table(max_k: int, height: int) -> Counter:
     return table
 
 
-def run_bases(max_k: int = 5) -> VerificationReport:
+def run_bases(max_k: int) -> tuple[list, dict]:
     """Height-2 multisets have their unique d-maximum at ([k], {}), and the
     chain-count formula matches the sieve on (A, {}, ...) at each height."""
     # One height-2 table serves both sides: a divisor of X has max <= max X.
@@ -361,22 +324,13 @@ def run_bases(max_k: int = 5) -> VerificationReport:
                 bad.append(
                     {"set": _set_text(mask), "height": b, "oracle": d, "formula": f}
                 )
-    return VerificationReport(
-        target="bases",
-        range={
-            "max_k": max_k,
-            "formula_max_element": FORMULA_MAX_ELEMENT,
-            "formula_heights": list(FORMULA_HEIGHTS),
-        },
-        status="pass" if not bad else "fail",
-        counterexamples=bad,
-    )
+    return bad, {}
 
 
 # ---------------------------------------------------------------------------
 # Conjecture probes (evidence-only).
 
-def run_odd2(max_k: int = 14) -> VerificationReport:
+def run_odd2(max_k: int) -> tuple[list, dict]:
     """Where does the second-largest d_2 among odd k-digit binary numbers
     occur?  The conjecture says 2^k - 3 for k >= 3, k != 5."""
     table = _divisor_table(max_k - 1) if max_k >= 3 else None
@@ -404,15 +358,10 @@ def run_odd2(max_k: int = 14) -> VerificationReport:
                 "covered_by_conjecture": k != 5,
             }
         )
-    return VerificationReport(
-        target="odd2",
-        range={"max_k": max_k},
-        status="evidence-only",
-        details={"rows": rows},
-    )
+    return [], {"rows": rows}
 
 
-def run_pi2(max_k: int = 14) -> VerificationReport:
+def run_pi2(max_k: int) -> tuple[list, dict]:
     """Irreducible-set counts against the conjectured prime density.
 
     count(k) is the number of irreducible A with max(A) = k and |A| >= 2
@@ -435,47 +384,69 @@ def run_pi2(max_k: int = 14) -> VerificationReport:
                 "ratio": count / predicted,
             }
         )
-    return VerificationReport(
-        target="pi2",
-        range={"max_k": max_k},
-        status="evidence-only",
-        details={"rows": rows},
-    )
+    return [], {"rows": rows}
 
 
-_RUNNERS = {
-    "crlodd": run_crlodd,
-    "crleven": run_crleven,
-    "L15": run_l15,
-    "bases": run_bases,
-    "odd2": run_odd2,
-    "pi2": run_pi2,
+class _Target(NamedTuple):
+    runner: Callable[..., tuple[list, dict]]  # -> (counterexamples, details)
+    sizes: dict  # size parameter -> (default, bound)
+    fixed: dict = {}  # reported in the range, not settable
+
+
+# One row per target.  Bounds are checked before any work starts.  The
+# divisor table peaks near 200 MB at max_k = 22; L15 holds both of its
+# sides and builds the larger all-pairs table, and peaks near 200 MB at
+# max_k = 21 (380 MB at 22).  bases keeps d for 3^(max_k+1) multisets
+# and peaks near 130 MB at max_k = 11 (370 MB at 12).  crlodd's promotion
+# phase peaks near 210 MB at promotion_max_k = 20 (400 MB at 21) and runs
+# before the table.
+_TARGETS = {
+    "crlodd": _Target(run_crlodd, {"max_k": (14, 22), "promotion_max_k": (10, 20)}),
+    "crleven": _Target(run_crleven, {"max_k": (12, 22)}),
+    "L15": _Target(run_l15, {"max_k": (12, 21)}),
+    "bases": _Target(
+        run_bases,
+        {"max_k": (5, 11)},
+        {
+            "formula_max_element": FORMULA_MAX_ELEMENT,
+            "formula_heights": list(FORMULA_HEIGHTS),
+        },
+    ),
+    "odd2": _Target(run_odd2, {"max_k": (14, 22)}),
+    "pi2": _Target(run_pi2, {"max_k": (14, 22)}),
 }
 
 
 def run_target(name: str, **params) -> VerificationReport:
-    """Run one verification target by name, timing it.  Parameters are
-    range-checked before any work starts."""
-    if name not in _RUNNERS:
-        known = ", ".join(sorted(_RUNNERS))
+    """Run one verification target by name, timing it.  Parameters left out
+    or None take their defaults, and all are range-checked before any work
+    starts.  Conjecture probes report evidence only; a theorem target fails
+    iff it finds a counterexample."""
+    if name not in _TARGETS:
+        known = ", ".join(sorted(_TARGETS))
         raise PreconditionError(f"unknown target {name!r}; known: {known}")
-    kwargs = dict(_DEFAULTS[name])
+    target = _TARGETS[name]
     for key, value in params.items():
-        if value is None:
-            continue
-        if key not in kwargs:
-            raise PreconditionError(
-                f"target {name!r} does not take parameter {key!r}"
+        if value is not None and key not in target.sizes:
+            raise PreconditionError(f"target {name!r} does not take parameter {key!r}")
+    kwargs = {}
+    for key, (default, bound) in target.sizes.items():
+        value = default if params.get(key) is None else params[key]
+        if value < 0:
+            raise PreconditionError(f"{key} must be nonnegative, got {value}")
+        if value > bound:
+            raise CapacityError(
+                f"{key} {value} exceeds the bound {bound} for target {name!r}"
             )
         kwargs[key] = value
-    for key, bound in _BOUNDS[name].items():
-        if kwargs[key] < 0:
-            raise PreconditionError(f"{key} must be nonnegative, got {kwargs[key]}")
-        if kwargs[key] > bound:
-            raise CapacityError(
-                f"{key} {kwargs[key]} exceeds the bound {bound} for target {name!r}"
-            )
     start = time.perf_counter()
-    report = _RUNNERS[name](**kwargs)
-    report.elapsed = time.perf_counter() - start
-    return report
+    bad, details = target.runner(**kwargs)
+    status = "fail" if bad else "pass"
+    return VerificationReport(
+        target=name,
+        range={**kwargs, **target.fixed},
+        status="evidence-only" if name in CONJECTURE_TARGETS else status,
+        counterexamples=bad,
+        details=details,
+        elapsed=time.perf_counter() - start,
+    )

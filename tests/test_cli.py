@@ -212,6 +212,7 @@ class TestExitCodes:
             ("table", "H", "--rows", "2000"),
             ("table", "F", "--rows", "3000"),
             ("irreducible", ",".join(map(str, [*range(31), 63]))),
+            ("irreducible", "[42]"),
         ],
     )
     def test_size_budget_error_is_1(self, capsys, argv):

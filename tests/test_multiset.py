@@ -225,10 +225,11 @@ class TestDivisorCounts:
                 assert len(got) == len(want) and set(got) == want, x
 
     def test_budget(self):
+        # Lunar's budget of 4 * 10^6 candidates, (height + 1)^(max + 1):
+        # 4^11 at height 3 and max 10.
         with pytest.raises(BudgetError):
-            setarray_divisors(SetArray((fs(0, 7), EMPTY)))
-        with pytest.raises(BudgetError):
-            setarray_divisors(SetArray.neutral(4))
+            setarray_divisors(SetArray((fs(0, 10),) + (EMPTY,) * 2))
+        assert setarray_divisors(SetArray.neutral(4)) == [SetArray.neutral(4)]
 
     def test_zero_rejected(self):
         with pytest.raises(PreconditionError):

@@ -121,6 +121,24 @@ class TestPromotedFamily:
             for m in promoted_family(a, k, b).members:
                 assert divides(m, interval(k))
 
+    def test_matches_cofactor_walk(self):
+        # The definition: one promoted member per cofactor c of b in a.
+        for mask in range(1, 1 << 8, 2):
+            a = FiniteSet.from_mask(mask)
+            for b in divisors(a):
+                for k in {a.max, 7}:
+                    want = set()
+                    for c in cofactors(a, b):
+                        if b.max <= c.max:
+                            want.add(b)
+                        if b.max >= c.max:
+                            want.add(promote(a, k, b, c.max))
+                    assert promoted_family(a, k, b).members == want, (a, b, k)
+
+    def test_non_divisor_rejected(self):
+        with pytest.raises(PreconditionError):
+            promoted_family(fs(0, 2), 2, fs(0, 1))
+
     def test_full_interval_family_is_identity_like(self):
         a = interval(4)
         for b in divisors(a):

@@ -211,8 +211,10 @@ class TestIrreducible:
             is_irreducible(fs(3))
 
     def test_enumeration_bound(self):
-        # [48] walks the 24 elements 1..24; [63] would walk 31.
-        assert not is_irreducible(interval(48))
+        # [41] walks the 20 elements 1..20; [42] would walk 21.
+        assert not is_irreducible(interval(41))
+        with pytest.raises(CapacityError):
+            is_irreducible(interval(42))
         with pytest.raises(CapacityError):
             is_irreducible(interval(63))
         with pytest.raises(CapacityError):
@@ -247,3 +249,7 @@ class TestIrreducible:
 
         for k in range(1, 7):
             assert count_irreducible(k) == brute(k)
+
+    def test_count_irreducible_bound(self):
+        with pytest.raises(CapacityError):
+            count_irreducible(19)

@@ -4,6 +4,8 @@ and the library's divisor counting, between the promotion sieve and
 promotion.py, and between the chain sieve and the lunar divisor lists.
 """
 
+import argparse
+import inspect
 import itertools
 import subprocess
 import sys
@@ -30,6 +32,7 @@ from sumdiv import (
     verify,
     verify_promotion_disjointness,
 )
+from sumdiv.cli import build_parser, main
 from sumdiv.verify import (
     CONJECTURE_TARGETS,
     THEOREM_TARGETS,
@@ -109,6 +112,70 @@ class TestCounters:
         for mask in range(1, 1 << 8):
             a = FiniteSet.from_mask(mask)
             assert direct_divisor_count(mask) == divisor_count(a)
+
+
+_ALL_TARGETS = THEOREM_TARGETS + CONJECTURE_TARGETS
+
+
+def _verify_choices() -> tuple:
+    """The choices of `sumdiv verify TARGET`."""
+    actions = build_parser()._actions
+    sub = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+    verify_actions = sub.choices["verify"]._actions
+    return tuple(next(a for a in verify_actions if a.dest == "target").choices)
+
+
+class TestTargetTable:
+    def test_rows_are_the_targets(self):
+        assert tuple(verify._TARGETS) == _ALL_TARGETS == _verify_choices()
+
+    def test_runners_take_the_size_parameters(self):
+        for row in verify._TARGETS.values():
+            params = inspect.signature(row.runner).parameters
+            assert list(params) == list(row.sizes)
+            assert all(p.default is inspect.Parameter.empty for p in params.values())
+
+    @pytest.mark.parametrize(
+        "name, want",
+        [
+            ("crlodd", {"max_k": 14, "promotion_max_k": 10}),
+            ("crleven", {"max_k": 12}),
+            ("L15", {"max_k": 12}),
+            (
+                "bases",
+                {"max_k": 5, "formula_max_element": 5, "formula_heights": [2, 3]},
+            ),
+            ("odd2", {"max_k": 14}),
+            ("pi2", {"max_k": 14}),
+        ],
+    )
+    def test_default_range(self, monkeypatch, name, want):
+        # The runner is handed the table's defaults; None means the default.
+        row = verify._TARGETS[name]
+        seen = []
+
+        def runner(**kwargs):
+            seen.append(kwargs)
+            return [], {}
+
+        monkeypatch.setitem(verify._TARGETS, name, row._replace(runner=runner))
+        r = run_target(name, max_k=None, promotion_max_k=None)
+        defaults = {key: default for key, (default, _) in row.sizes.items()}
+        assert seen == [defaults]
+        assert r.range == {**defaults, **row.fixed} == want
+
+    @pytest.mark.parametrize("name", _ALL_TARGETS)
+    def test_planted_counterexample(self, monkeypatch, capsys, name):
+        # A theorem target fails (exit 3) on any counterexample; a probe
+        # stays evidence-only (exit 0).
+        row = verify._TARGETS[name]
+        planted = row._replace(runner=lambda **kw: ([{"planted": 1}], {}))
+        monkeypatch.setitem(verify._TARGETS, name, planted)
+        theorem = name in THEOREM_TARGETS
+        r = run_target(name, max_k=0)
+        assert r.counterexamples == [{"planted": 1}]
+        assert r.status == ("fail" if theorem else "evidence-only")
+        assert main(["verify", name, "--max-k", "0"]) == (3 if theorem else 0)
 
 
 class TestDispatch:
