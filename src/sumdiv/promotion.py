@@ -6,11 +6,11 @@ and the disjointness check behind the maximality of d([k]) on 0-rooted sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import PreconditionError
 from .sets import (
     FiniteSet,
-    _iter_submasks,
     _quotient_mask,
     _sum_masks,
     divides,
@@ -73,6 +73,16 @@ def promote(
             out |= 1 << (s - other_max)
         missing ^= low
     return FiniteSet.from_mask(out)
+
+
+def _iter_submasks(mask: int) -> Iterator[int]:
+    """All submasks of mask, including 0 and mask itself."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
 
 
 def cofactors(a: FiniteSet, b: FiniteSet) -> list[FiniteSet]:

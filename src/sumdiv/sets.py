@@ -2,7 +2,9 @@
 
 A set is stored as a bit mask, so the sumset of two sets is a handful of
 shift-or word operations and a divisibility test is a deconvolution over at
-most ``max(a)`` shifts.
+most ``max(a)`` shifts.  The single-set questions, the divisor list, d(a)
+and irreducibility, share one pruned search over the divisors of the
+0-rooted core, bounded by a node budget rather than by the size of a.
 """
 
 from __future__ import annotations
@@ -15,15 +17,11 @@ from .errors import CapacityError, EmptyOperandError, PreconditionError
 # Elements above this bound are rejected at construction time.
 ELEMENT_BOUND = 63
 
-# Divisor enumeration walks subsets of the 0-rooted core, i.e. O(2^max).
-ENUMERATION_BOUND = 24
-
-# The irreducibility test walks subsets of the core's lower half.  These
-# caps keep it under about 20 s in-process on 2 cores: 11 s for a
-# 20-element lower half, 16 s for count_irreducible(18), and about 4x and
-# 7x more per two elements past them.
-_IRREDUCIBLE_POOL_BOUND = 20
-_COUNT_IRREDUCIBLE_BOUND = 18
+# The divisor search (divisors, divisor_count, is_irreducible) raises
+# CapacityError past this many nodes.  d([24]) takes 3.96 million, and a
+# search that hits the budget stops within about 15 s in-process on 2 cores.
+NODE_BUDGET = 1 << 22
+_COUNT_IRREDUCIBLE_BOUND = 19
 
 
 class FiniteSet:
@@ -153,6 +151,8 @@ def sumset(a: FiniteSet, b: FiniteSet) -> FiniteSet:
 
 
 def _sum_masks(amask: int, bmask: int) -> int:
+    if amask.bit_count() < bmask.bit_count():
+        amask, bmask = bmask, amask
     out = 0
     while bmask:
         low = bmask & -bmask
@@ -201,22 +201,59 @@ def divides(b: FiniteSet, a: FiniteSet) -> bool:
     return _divides_mask(b.mask, a.mask)
 
 
-def _iter_submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
+def _core_divisor_masks(core: int, top: int | None = None) -> Iterator[int]:
+    """The 0-rooted divisors B of a 0-rooted core, max B <= top, as masks.
+
+    One pruned search per t = max B in the core, in ascending order.  The
+    core's elements below t are decided upward, and Q, the maximal cofactor
+    of the decided part B, shrinks by Q &= core >> e with each included e.
+    A branch is cut when Q loses max - t, which every cofactor holds, or
+    when B + Q misses an element of the core below the next undecided one:
+    only decided elements can cover those, and Q only shrinks.  At a leaf,
+    B divides the core iff B + Q == core.  Raises CapacityError after
+    NODE_BUDGET nodes.
+    """
+    full = core.bit_length() - 1
+    if top is None:
+        top = full
+    elems = [e for e in range(full + 1) if core >> e & 1]
+    shifted = [core >> e for e in elems]
+    # B's decided elements below t, reflected about full: bit full - b.
+    # Then e is covered by B + Q iff Q meets reflected >> (full - e).
+    reflected = [1 << (full - e) for e in elems]
+    nodes = 0
+    for i, t in enumerate(elems):
+        if t > top:
             return
-        sub = (sub - 1) & mask
+        want = 1 << (full - t)
+        stack = [(1, 1 | 1 << t, 1 << full, core & shifted[i] & (2 * want - 1))]
+        while stack:
+            j, b, r, q = stack.pop()
+            nodes += 1
+            if nodes > NODE_BUDGET:
+                raise CapacityError(
+                    f"divisor search of {FiniteSet.from_mask(core)} exceeds "
+                    f"the node budget {NODE_BUDGET}"
+                )
+            if j >= i:
+                if _sum_masks(b, q) == core:
+                    yield b
+                continue
+            e = elems[j]
+            if q & (r >> (full - e)):
+                stack.append((j + 1, b, r, q))
+            q2 = q & shifted[j]
+            if q2 & want:
+                below = (1 << e) - 1
+                if (_sum_masks(b & below, q2 & below) ^ core) & below == 0:
+                    stack.append((j + 1, b | 1 << e, r | reflected[j], q2))
 
 
-def _check_enum_bound(top: int) -> None:
-    if top > ENUMERATION_BOUND:
-        raise CapacityError(
-            f"divisor enumeration over max element {top} exceeds the "
-            f"enumeration bound {ENUMERATION_BOUND}"
-        )
+def _listing_key(mask: int) -> int:
+    # The (cardinality, elements) order on masks.  Of two sets of one size,
+    # the one holding the lowest element where they differ comes first, so
+    # it is the one whose 64-bit reversal is larger.
+    return (mask.bit_count() << 64) - int(f"{mask:064b}"[::-1], 2)
 
 
 def divisors(a: FiniteSet) -> list[FiniteSet]:
@@ -225,35 +262,32 @@ def divisors(a: FiniteSet) -> list[FiniteSet]:
     Reduces to the 0-rooted core a - {min a}: every 0-rooted divisor of a
     0-rooted set is one of its subsets containing 0, and each divisor B of
     the core lifts to the r+1 divisors B + {j}, 0 <= j <= min(a).
+    CapacityError past NODE_BUDGET search nodes or NODE_BUDGET / 2 divisors.
     """
     _require_nonempty(a)
-    _check_enum_bound(a.max)
     r = a.min
-    core = a.mask >> r
-    found = []
-    body = core & ~1
-    for sub in _iter_submasks(body):
-        b0 = sub | 1
-        if _divides_mask(b0, core):
-            found.append(b0)
-    out = [
-        FiniteSet.from_mask(b0 << j) for b0 in found for j in range(r + 1)
-    ]
-    out.sort(key=lambda s: (len(s), s.elements))
-    return out
+    found = list(_core_divisor_masks(a.mask >> r))
+    # A listed divisor costs about as much time as two search nodes, and
+    # 1.97 million, those of {1, ..., 24}, is the most any set with max
+    # at most 24 has.
+    if len(found) * (r + 1) > NODE_BUDGET // 2:
+        raise CapacityError(
+            f"{a} has {len(found) * (r + 1)} divisors, more than "
+            f"{NODE_BUDGET // 2} to list"
+        )
+    masks = [b0 << j for b0 in found for j in range(r + 1)]
+    masks.sort(key=_listing_key)
+    return [FiniteSet.from_mask(m) for m in masks]
 
 
 @functools.lru_cache(maxsize=None)
 def _core_divisor_count(core_mask: int) -> int:
-    _check_enum_bound(core_mask.bit_length() - 1)
-    body = core_mask & ~1
-    return sum(
-        1 for sub in _iter_submasks(body) if _divides_mask(sub | 1, core_mask)
-    )
+    return sum(1 for _ in _core_divisor_masks(core_mask))
 
 
 def divisor_count(a: FiniteSet) -> int:
-    """d(a), the number of sumset divisors of a."""
+    """d(a), the number of sumset divisors of a; CapacityError past
+    NODE_BUDGET search nodes."""
     _require_nonempty(a)
     r = a.min
     return (r + 1) * _core_divisor_count(a.mask >> r)
@@ -262,25 +296,15 @@ def divisor_count(a: FiniteSet) -> int:
 @functools.lru_cache(maxsize=None)
 def _core_is_irreducible(core_mask: int) -> bool:
     # A factorization core = B + C with both factors of size >= 2 can be
-    # normalized so max(B) <= max(C), i.e. max(B) <= max(core) // 2.
-    top = core_mask.bit_length() - 1
-    pool = core_mask & ((1 << (top // 2 + 1)) - 1) & ~1
-    if pool.bit_count() > _IRREDUCIBLE_POOL_BOUND:
-        raise CapacityError(
-            f"irreducibility test over {pool.bit_count()} elements exceeds "
-            f"the bound {_IRREDUCIBLE_POOL_BOUND}"
-        )
-    for sub in _iter_submasks(pool):
-        if sub == 0:
-            continue
-        if _divides_mask(sub | 1, core_mask):
-            return False
-    return True
+    # normalized so 0 < max(B) <= max(C), i.e. max(B) <= max(core) // 2;
+    # B = {0} is the one divisor with max 0.
+    top = (core_mask.bit_length() - 1) // 2
+    return all(b == 1 for b in _core_divisor_masks(core_mask, top))
 
 
 def is_irreducible(a: FiniteSet) -> bool:
     """True iff a admits no factorization with both factors of size >= 2;
-    CapacityError past 2^_IRREDUCIBLE_POOL_BOUND candidate factors."""
+    CapacityError past NODE_BUDGET search nodes."""
     if len(a) < 2:
         raise PreconditionError("irreducibility is undefined for |a| < 2")
     return _core_is_irreducible(a.mask >> a.min)

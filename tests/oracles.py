@@ -2,12 +2,18 @@
 
 Everything here is deliberately naive: plain Python sets (or bit masks),
 full search over every candidate, no reuse of the library's reductions.
-Slow but obviously correct, which is the point.
+Slow but obviously correct, which is the point.  The submask walks are the
+one exception: they test every subset of a 0-rooted core with the library's
+divisibility kernel, which the naive oracles check, and are the oracles of
+the pruned divisor search.
 """
 
 from itertools import chain, combinations, product
 
 import numpy as np
+
+from sumdiv.promotion import _iter_submasks
+from sumdiv.sets import _divides_mask
 
 
 def naive_sumset(a: frozenset, b: frozenset) -> frozenset:
@@ -51,6 +57,25 @@ def direct_divisor_count(amask: int) -> int:
         sh = cands << c
         prod |= np.where((sh & ~amask) == 0, sh, 0)
     return int(np.count_nonzero(prod == amask))
+
+
+def walk_divisor_masks(core: int) -> list:
+    """The 0-rooted divisors of a 0-rooted core mask, in ascending mask
+    order: every submask holding 0 is tested by maximal-quotient
+    deconvolution, with no pruning."""
+    return sorted(
+        sub | 1 for sub in _iter_submasks(core & ~1) if _divides_mask(sub | 1, core)
+    )
+
+
+def walk_is_irreducible(core: int) -> bool:
+    """No divisor B of the 0-rooted core with 0 < max B <= max(core) / 2,
+    found by walking every submask of the core's lower half."""
+    top = core.bit_length() - 1
+    pool = core & ((1 << (top // 2 + 1)) - 1) & ~1
+    return not any(
+        _divides_mask(sub | 1, core) for sub in _iter_submasks(pool) if sub
+    )
 
 
 def naive_lunar_mul(x: tuple, y: tuple, base: int) -> tuple:

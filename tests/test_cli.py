@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumdiv import sets
 from sumdiv.cli import main, parse_set
 from sumdiv.errors import ParseError
 from sumdiv.sets import FiniteSet, interval, interval_positive
@@ -78,6 +79,18 @@ class TestCompute:
         assert (code, out.strip()) == (0, "true")
         code, out, _ = run(capsys, "irreducible", "[3]")
         assert (code, out.strip()) == (0, "false")
+
+    @pytest.mark.parametrize(
+        "literal, answer",
+        [
+            ("[42]", "false"),
+            ("[63]", "false"),
+            (",".join(map(str, [*range(31), 63])), "true"),
+        ],
+    )
+    def test_irreducible_large_sets(self, capsys, literal, answer):
+        code, out, _ = run(capsys, "irreducible", literal)
+        assert (code, out.strip()) == (0, answer)
 
     def test_promote(self, capsys):
         code, out, _ = run(capsys, "promote", "0,2,3,4,5,6", "6", "0,2,3", "3")
@@ -211,12 +224,26 @@ class TestExitCodes:
             ("compositions", "1200", "--parts", "3"),
             ("table", "H", "--rows", "2000"),
             ("table", "F", "--rows", "3000"),
-            ("irreducible", ",".join(map(str, [*range(31), 63]))),
-            ("irreducible", "[42]"),
+            # d([25]) passes the node budget of the divisor search.
+            ("count", "[25]"),
+            # {44, ..., 63} has 45 * d([19]) divisors, too many to list.
+            ("divisors", ",".join(map(str, range(44, 64)))),
         ],
     )
     def test_size_budget_error_is_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["count", "divisors", "irreducible"])
+    def test_node_budget_error_is_1(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(sets, "NODE_BUDGET", 50)
+        # Its search takes 79 nodes; a cached answer would skip it.
+        sets._core_divisor_count.cache_clear()
+        sets._core_is_irreducible.cache_clear()
+        literal = "0,1,2,3,4,5,8,9,10,11,12,14,16,17,18"
+        code, out, err = run(capsys, command, literal)
         assert (code, out) == (1, "")
         assert err.startswith("error:")
         assert err.count("\n") == 1
@@ -319,3 +346,25 @@ def test_fuzz_exit_codes(argv):
     except SystemExit as exc:  # argparse usage errors
         code = exc.code
     assert code in (0, 1, 2, 3), argv
+
+
+_wide_literal = st.one_of(
+    st.frozensets(st.integers(min_value=0, max_value=63), max_size=64).map(
+        lambda xs: ",".join(map(str, sorted(xs)))
+    ),
+    st.integers(min_value=0, max_value=63).map(lambda k: f"[{k}]"),
+    st.integers(min_value=1, max_value=63).map(lambda k: f"[{k}+]"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["count", "divisors", "irreducible"]),
+    literal=_wide_literal,
+)
+def test_fuzz_set_commands_up_to_63(command, literal):
+    # A small node budget keeps each case fast; the real budget's bound is
+    # tested on fixed inputs above.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sets, "NODE_BUDGET", 20000)
+        assert main([command, literal]) in (0, 1), (command, literal)

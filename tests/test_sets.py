@@ -2,6 +2,8 @@
 and frozen small-case values.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,14 +17,28 @@ from sumdiv import (
     divides,
     divisor_count,
     divisors,
+    headstrong_count,
     interval,
     interval_positive,
     is_irreducible,
     quotient_max,
+    sets,
     sumset,
 )
 
-from .oracles import naive_divides, naive_divisors, naive_sumset
+from .oracles import (
+    direct_divisor_count,
+    naive_divides,
+    naive_divisors,
+    naive_sumset,
+    walk_divisor_masks,
+    walk_is_irreducible,
+)
+
+# A dense set with max 50 whose divisor search passes the node budget.
+OVER_BUDGET = FiniteSet(
+    [0, *range(2, 12), *range(13, 26), *range(27, 40), *range(41, 51)]
+)
 
 small_sets = st.frozensets(st.integers(0, 10), min_size=1, max_size=6)
 tiny_sets = st.frozensets(st.integers(0, 6), min_size=1, max_size=5)
@@ -194,9 +210,70 @@ class TestDivisors:
         shifted = core.shifted(r)
         assert divisor_count(shifted) == (r + 1) * divisor_count(core)
 
+    @given(st.frozensets(st.integers(0, 10), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_lists_exactly_the_divisors(self, a):
+        x = FiniteSet(a)
+        candidates = (
+            FiniteSet.from_mask(m) for m in range(1, 2 << x.max)
+        )
+        expected = {b for b in candidates if divides(b, x)}
+        got = divisors(x)
+        assert len(got) == len(expected) and set(got) == expected
+
+    def test_matches_walk_exhaustively(self):
+        # Every 0-rooted core with max <= 13: list, order and count.
+        for core in range(1, 1 << 14, 2):
+            walk = walk_divisor_masks(core)
+            got = divisors(FiniteSet.from_mask(core))
+            assert got == sorted(
+                (FiniteSet.from_mask(m) for m in walk),
+                key=lambda s: (len(s), s.elements),
+            )
+            assert divisor_count(FiniteSet.from_mask(core)) == len(walk)
+
+    def test_interval_counts_match_headstrong(self):
+        for k in range(21):
+            assert divisor_count(interval(k)) == headstrong_count(k + 1)
+
+    def test_random_cores_match_oracles(self):
+        rng = random.Random(11)
+        for top in range(20, 31):
+            density = 0.7 if top == 20 else 0.45
+            core = 1 | 1 << top | sum(
+                1 << e for e in range(1, top) if rng.random() < density
+            )
+            count = divisor_count(FiniteSet.from_mask(core))
+            assert count == len(walk_divisor_masks(core))
+            if top == 20:
+                assert count == direct_divisor_count(core)
+
     def test_enumeration_bound(self):
+        # The search is bounded by nodes, not by max: {0, 30} and
+        # {60, ..., 63} are decided at once.
+        assert divisors(fs(0, 30)) == [fs(0), fs(0, 30)]
+        assert len(divisors(interval(3).shifted(60))) == 5 * 61
+        assert divisor_count(interval(24)) == headstrong_count(25)
         with pytest.raises(CapacityError):
-            divisors(fs(0, 30))
+            divisor_count(OVER_BUDGET)
+
+    def test_node_budget(self, monkeypatch):
+        monkeypatch.setattr(sets, "NODE_BUDGET", 1000)
+        # d([12]) takes 1907 nodes; a cached answer would skip the search.
+        sets._core_divisor_count.cache_clear()
+        assert divisor_count(interval(8)) == 77
+        with pytest.raises(CapacityError):
+            divisor_count(interval(12))
+        with pytest.raises(CapacityError):
+            divisors(interval(12))
+
+    def test_listing_budget(self, monkeypatch):
+        # {40, ..., 48} has 41 * d([8]) = 3157 divisors from a search of
+        # a few hundred nodes.
+        monkeypatch.setattr(sets, "NODE_BUDGET", 4000)
+        assert divisor_count(interval(8).shifted(40)) == 3157
+        with pytest.raises(CapacityError):
+            divisors(interval(8).shifted(40))
 
 
 class TestIrreducible:
@@ -211,14 +288,27 @@ class TestIrreducible:
             is_irreducible(fs(3))
 
     def test_enumeration_bound(self):
-        # [41] walks the 20 elements 1..20; [42] would walk 21.
-        assert not is_irreducible(interval(41))
+        # Decided at once: {0, 1} divides every interval, and
+        # {0, ..., 30, 63} has no factor.
+        assert not is_irreducible(interval(42))
+        assert not is_irreducible(interval(63))
+        assert is_irreducible(FiniteSet([*range(31), 63]))
+
+    def test_node_budget(self, monkeypatch):
+        # The search for this set takes 79 nodes, the most of any set with
+        # max <= 18.
+        a = fs(0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12, 14, 16, 17, 18)
+        monkeypatch.setattr(sets, "NODE_BUDGET", 50)
+        sets._core_is_irreducible.cache_clear()
         with pytest.raises(CapacityError):
-            is_irreducible(interval(42))
-        with pytest.raises(CapacityError):
-            is_irreducible(interval(63))
-        with pytest.raises(CapacityError):
-            is_irreducible(FiniteSet([*range(31), 63]))
+            is_irreducible(a)
+        monkeypatch.setattr(sets, "NODE_BUDGET", 79)
+        assert is_irreducible(a)
+
+    def test_matches_walk_exhaustively(self):
+        for core in range(3, 1 << 14, 2):
+            a = FiniteSet.from_mask(core)
+            assert is_irreducible(a) == walk_is_irreducible(core)
 
     @staticmethod
     def _naive_irreducible(a: frozenset) -> bool:
@@ -252,4 +342,4 @@ class TestIrreducible:
 
     def test_count_irreducible_bound(self):
         with pytest.raises(CapacityError):
-            count_irreducible(19)
+            count_irreducible(20)

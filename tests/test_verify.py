@@ -86,9 +86,9 @@ class TestCounters:
             assert general[mask] == divisor_count(FiniteSet.from_mask(mask))
 
     def test_pi2_rows_match_count_irreducible(self):
-        rows = run_target("pi2", max_k=12).details["rows"]
+        rows = run_target("pi2", max_k=14).details["rows"]
         assert [r["irreducible"] for r in rows] == [
-            count_irreducible(k) for k in range(1, 13)
+            count_irreducible(k) for k in range(1, 15)
         ]
 
     @pytest.mark.parametrize("max_k, height", [(3, 2), (2, 3)])
