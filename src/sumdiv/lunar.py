@@ -4,6 +4,12 @@ Digits are kept least-significant first so the product digit j is the
 max over i + k = j of min(x_i, y_k), mirroring an ordinary convolution
 index.  Display order is most-significant first with an explicit base
 annotation, e.g. "12468@10".
+
+Base-2 divisor lists and counts are the sumset divisors of beta_inv(n),
+so they run on the pruned set search of sumdiv.sets, under its node
+budget and its element bound of 63 (at most 64 digits).  Bases >= 3 try
+every candidate digit string against the quotient-max test, under
+DIVISOR_ENUM_BUDGET.
 """
 
 from __future__ import annotations
@@ -17,10 +23,14 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .sets import FiniteSet
+from .sets import FiniteSet, _divisor_masks, divisor_count
 
-# Candidate-divisor enumeration is O(base ** length); beyond this we refuse.
+# Divisor lists in bases >= 3 try base ** length candidates; beyond this
+# we refuse.  Base 2 runs on the set search and its NODE_BUDGET instead.
 DIVISOR_ENUM_BUDGET = 4_000_000
+
+# The eight binary digits of each byte, least-significant first.
+_BYTE_DIGITS = [tuple(b >> i & 1 for i in range(8)) for b in range(256)]
 
 
 class LunarNumber:
@@ -36,10 +46,11 @@ class LunarNumber:
         for d in digits:
             if not 0 <= d < base:
                 raise ValueError(f"digit {d} out of range for base {base}")
-        while digits and digits[-1] == 0:
-            digits = digits[:-1]
+        top = len(digits)
+        while top and digits[top - 1] == 0:
+            top -= 1
         self._base = base
-        self._digits = digits
+        self._digits = digits[:top]
 
     @property
     def base(self) -> int:
@@ -63,6 +74,10 @@ class LunarNumber:
         if not sep:
             raise ParseError(f"missing '@base' annotation in {text!r}")
         try:
+            # int() also takes signs, spaces, underscores and non-ASCII
+            # digits, and refuses over 4300 digits.
+            if not (base_text.isascii() and base_text.isdigit()):
+                raise ValueError(base_text)
             base = int(base_text)
         except ValueError:
             raise ParseError(f"invalid base {base_text!r} in {text!r}") from None
@@ -74,11 +89,12 @@ class LunarNumber:
             raise ParseError(f"empty digit string in {text!r}")
         digits = []
         for pos, ch in enumerate(body):
-            if not ch.isdigit() or int(ch) >= base:
+            d = "0123456789".find(ch)
+            if not 0 <= d < base:
                 raise ParseError(
                     f"invalid digit {ch!r} at position {pos} for base {base}"
                 )
-            digits.append(int(ch))
+            digits.append(d)
         return cls(base, reversed(digits))
 
     def __str__(self) -> str:
@@ -95,6 +111,19 @@ class LunarNumber:
 
     def __hash__(self) -> int:
         return hash((self._base, self._digits))
+
+
+def _binary_from_mask(mask: int) -> LunarNumber:
+    """The base-2 number with digit i = bit i of a positive mask, built
+    without re-checking its digits."""
+    digits = ()
+    while mask > 255:
+        digits += _BYTE_DIGITS[mask & 255]
+        mask >>= 8
+    out = object.__new__(LunarNumber)
+    out._base = 2
+    out._digits = digits + _BYTE_DIGITS[mask][: mask.bit_length()]
+    return out
 
 
 def _require_same_base(x: LunarNumber, y: LunarNumber) -> None:
@@ -218,9 +247,18 @@ def lunar_divides(y: LunarNumber, n: LunarNumber) -> bool:
 
 
 def lunar_divisors(n: LunarNumber) -> list[LunarNumber]:
-    """All canonical y with y (x) z = n, ordered by (length, digit string)."""
+    """All canonical y with y (x) z = n, ordered by (length, digit string).
+
+    Base 2 lists the sumset divisors of beta_inv(n), whose ascending masks
+    are exactly that order; CapacityError past the set search's bounds.
+    Other bases raise BudgetError past DIVISOR_ENUM_BUDGET candidates.
+    """
     if n.is_zero:
         raise PreconditionError("lunar zero has no divisor list")
+    if n.base == 2:
+        masks = _divisor_masks(beta_inv(n))
+        masks.sort()
+        return [_binary_from_mask(m) for m in masks]
     if n.base ** len(n) > DIVISOR_ENUM_BUDGET:
         raise BudgetError(
             f"divisor enumeration over base {n.base}, length {len(n)} exceeds "
@@ -232,5 +270,8 @@ def lunar_divisors(n: LunarNumber) -> list[LunarNumber]:
 
 
 def lunar_divisor_count(n: LunarNumber) -> int:
-    """d_b(n), the number of lunar divisors of n."""
+    """d_b(n), the number of lunar divisors of n; in base 2 the cached
+    sumset count d(beta_inv(n))."""
+    if n.base == 2 and not n.is_zero:
+        return divisor_count(beta_inv(n))
     return len(lunar_divisors(n))

@@ -256,15 +256,14 @@ def _listing_key(mask: int) -> int:
     return (mask.bit_count() << 64) - int(f"{mask:064b}"[::-1], 2)
 
 
-def divisors(a: FiniteSet) -> list[FiniteSet]:
-    """All sumset divisors of a, ordered by (cardinality, elements).
+def _divisor_masks(a: FiniteSet) -> list[int]:
+    """The masks of all sumset divisors of nonempty a, unordered.
 
     Reduces to the 0-rooted core a - {min a}: every 0-rooted divisor of a
     0-rooted set is one of its subsets containing 0, and each divisor B of
     the core lifts to the r+1 divisors B + {j}, 0 <= j <= min(a).
     CapacityError past NODE_BUDGET search nodes or NODE_BUDGET / 2 divisors.
     """
-    _require_nonempty(a)
     r = a.min
     found = list(_core_divisor_masks(a.mask >> r))
     # A listed divisor costs about as much time as two search nodes, and
@@ -275,7 +274,15 @@ def divisors(a: FiniteSet) -> list[FiniteSet]:
             f"{a} has {len(found) * (r + 1)} divisors, more than "
             f"{NODE_BUDGET // 2} to list"
         )
-    masks = [b0 << j for b0 in found for j in range(r + 1)]
+    return [b0 << j for b0 in found for j in range(r + 1)]
+
+
+def divisors(a: FiniteSet) -> list[FiniteSet]:
+    """All sumset divisors of a, ordered by (cardinality, elements);
+    CapacityError past NODE_BUDGET search nodes or NODE_BUDGET / 2
+    divisors."""
+    _require_nonempty(a)
+    masks = _divisor_masks(a)
     masks.sort(key=_listing_key)
     return [FiniteSet.from_mask(m) for m in masks]
 

@@ -132,6 +132,31 @@ class TestLunarCommands:
         assert lines[-1] == "count: 6"
         assert lines[:-1] == ["1@3", "2@3", "11@3", "12@3", "21@3", "22@3"]
 
+    def test_binary_divisors_past_candidate_budget(self, capsys):
+        # 22 binary digits are 2^22 candidates, past the candidate budget;
+        # base 2 runs on the set search instead.
+        n = "1101101101101101101101@2"
+        code, out, _ = run(capsys, "lunar", "divisors", n)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:3] == ["1@2", "1001@2", "1101@2"]
+        assert lines[-1] == "count: 263"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lunar", "divisors", "1²@3"),
+            ("lunar", "add", "1٣@10", "1@10"),
+            ("lunar", "mul", "²@3", "1@3"),
+            ("beta", "1²@2", "--inverse"),
+        ],
+    )
+    def test_non_ascii_digit_is_parse_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
     def test_beta(self, capsys):
         code, out, _ = run(capsys, "beta", "0,2,3")
         assert (code, out.strip()) == (0, "1101@2")
@@ -248,6 +273,13 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    def test_binary_lunar_node_budget_error_is_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(sets, "NODE_BUDGET", 50)
+        code, out, err = run(capsys, "lunar", "divisors", "1" * 16 + "@2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
     def test_deep_headstrong_count(self, capsys):
         code, out, _ = run(capsys, "compositions", "3000", "--count")
         assert code == 0
@@ -285,7 +317,7 @@ _set_literal = st.one_of(
 )
 _lunar_literal = st.builds(
     lambda digits, base: f"{digits}@{base}",
-    st.text("0123456789", max_size=4),
+    st.text("0123456789²٣", max_size=4),
     st.integers(min_value=-1, max_value=11),
 ) | st.sampled_from(["", "12", "@10", "1@x", "1@@2"])
 _json = st.sampled_from([[], ["--json"]])

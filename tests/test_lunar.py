@@ -2,6 +2,8 @@
 with finite sets.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +11,14 @@ from hypothesis import strategies as st
 from sumdiv import (
     BaseMismatchError,
     BudgetError,
+    CapacityError,
     FiniteSet,
     LunarNumber,
     ParseError,
     PreconditionError,
     beta,
     beta_inv,
+    headstrong_count,
     identity,
     lunar_add,
     lunar_divides,
@@ -22,8 +26,10 @@ from sumdiv import (
     lunar_divisors,
     lunar_mul,
     lunar_quotient_max,
+    sets,
     sumset,
 )
+from sumdiv.lunar import _divisor_digits
 
 from .oracles import naive_lunar_divides, naive_lunar_divisors, naive_lunar_mul
 
@@ -80,6 +86,21 @@ class TestLunarNumber:
             ln("@10")
         with pytest.raises(ParseError):
             ln("12@16")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1²@3", "1٣@10", "٣@10", "1 @2"]
+        + ["1@١٠", "1@1_0", "1@ 2", "1@" + "1" * 5000],
+    )
+    def test_parse_accepts_only_ascii_digits(self, text):
+        with pytest.raises(ParseError):
+            ln(text)
+
+    def test_long_leading_zeros_stripped_in_linear_time(self):
+        start = time.perf_counter()
+        x = LunarNumber(2, [1] + [0] * 200_000)
+        assert time.perf_counter() - start < 2
+        assert x.digits == (1,) and x == ln("1@2")
 
     def test_digit_range_enforced(self):
         with pytest.raises(ValueError):
@@ -215,6 +236,51 @@ class TestLunarDivisibility:
     def test_enum_budget(self):
         with pytest.raises(BudgetError):
             lunar_divisors(LunarNumber(10, [1] * 8))
+
+    def test_binary_lists_match_candidate_loop(self):
+        # Base 2 runs on the set search; the candidate loop is its oracle,
+        # list and order, for every binary number of up to 10 digits.
+        for length in range(1, 11):
+            for low in range(1 << (length - 1)):
+                low_digits = [low >> i & 1 for i in range(length - 1)]
+                n = LunarNumber(2, low_digits + [1])
+                want = list(_divisor_digits(n.digits, 2))
+                assert [d.digits for d in lunar_divisors(n)] == want, n
+                assert lunar_divisor_count(n) == len(want), n
+
+    def test_binary_count_of_ones_is_headstrong(self):
+        # L ones is beta([L - 1]), and d([k]) = headstrong_count(k + 1).
+        for length in range(1, 19):
+            n = LunarNumber(2, [1] * length)
+            assert lunar_divisor_count(n) == headstrong_count(length)
+
+    def test_binary_past_candidate_budget(self):
+        # 2^22 candidates at 22 digits: refused by the candidate loop, well
+        # within the set search.
+        n = ln("1101101101101101101101@2")
+        divs = lunar_divisors(n)
+        assert divs == sorted(divs, key=lambda d: (len(d), d.digits[::-1]))
+        assert len(divs) == lunar_divisor_count(n) == 263
+        assert all(lunar_divides(d, n) for d in divs)
+
+    def test_binary_64_digit_bound(self):
+        n = LunarNumber(2, [1] + [0] * 62 + [1])
+        assert lunar_divisors(n) == [ln("1@2"), n]
+        assert lunar_divisor_count(n) == 2
+        too_long = LunarNumber(2, [1] + [0] * 63 + [1])
+        with pytest.raises(CapacityError):
+            lunar_divisors(too_long)
+        with pytest.raises(CapacityError):
+            lunar_divisor_count(too_long)
+
+    def test_binary_node_budget(self, monkeypatch):
+        monkeypatch.setattr(sets, "NODE_BUDGET", 50)
+        sets._core_divisor_count.cache_clear()
+        n = LunarNumber(2, [1] * 16)
+        with pytest.raises(CapacityError):
+            lunar_divisors(n)
+        with pytest.raises(CapacityError):
+            lunar_divisor_count(n)
 
     def test_ordering(self):
         divs = lunar_divisors(ln("1110@2"))

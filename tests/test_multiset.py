@@ -224,6 +224,17 @@ class TestDivisorCounts:
                 got = setarray_divisors(x)
                 assert len(got) == len(want) and set(got) == want, x
 
+    def test_height_one_lists_set_divisors(self):
+        # Height 1 is base 2: the divisors of (A) are the sumset divisors
+        # of A, for every nonempty A within [7].
+        for mask in range(1, 1 << 8):
+            a = FiniteSet.from_mask(mask)
+            got = setarray_divisors(SetArray((a,)))
+            assert [y.height for y in got] == [1] * len(got)
+            assert sorted(y.coords[0].elements for y in got) == sorted(
+                b.elements for b in divisors(a)
+            ), a
+
     def test_budget(self):
         # Lunar's budget of 4 * 10^6 candidates, (height + 1)^(max + 1):
         # 4^11 at height 3 and max 10.
