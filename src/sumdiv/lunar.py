@@ -5,10 +5,10 @@ max over i + k = j of min(x_i, y_k), mirroring an ordinary convolution
 index.  Display order is most-significant first with an explicit base
 annotation, e.g. "12468@10".
 
-Base-2 divisor lists and counts are the sumset divisors of beta_inv(n),
-so they run on the pruned set search of sumdiv.sets, under its node
-budget and its element bound of 63 (at most 64 digits).  Bases >= 3 try
-every candidate digit string against the quotient-max test, under
+Base-2 divisor lists are the sumset divisors of beta_inv(n), so they
+run on the pruned set search of sumdiv.sets, under its node budget and
+its element bound of 63 (at most 64 digits).  Bases >= 3 try every
+candidate digit string against the quotient-max test, under
 DIVISOR_ENUM_BUDGET.
 """
 
@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .sets import FiniteSet, _divisor_masks, divisor_count
+from .sets import FiniteSet, _divisor_masks
 
 # Divisor lists in bases >= 3 try base ** length candidates; beyond this
 # we refuse.  Base 2 runs on the set search and its NODE_BUDGET instead.
@@ -270,8 +270,5 @@ def lunar_divisors(n: LunarNumber) -> list[LunarNumber]:
 
 
 def lunar_divisor_count(n: LunarNumber) -> int:
-    """d_b(n), the number of lunar divisors of n; in base 2 the cached
-    sumset count d(beta_inv(n))."""
-    if n.base == 2 and not n.is_zero:
-        return divisor_count(beta_inv(n))
+    """d_b(n), the number of lunar divisors of n."""
     return len(lunar_divisors(n))

@@ -275,7 +275,6 @@ class TestLunarDivisibility:
 
     def test_binary_node_budget(self, monkeypatch):
         monkeypatch.setattr(sets, "NODE_BUDGET", 50)
-        sets._core_divisor_count.cache_clear()
         n = LunarNumber(2, [1] * 16)
         with pytest.raises(CapacityError):
             lunar_divisors(n)
