@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -16,6 +17,7 @@ from . import compositions, lunar, promotion, verify
 from .errors import DomainError, ParseError
 from .sets import (
     FiniteSet,
+    _elements_text,
     divisor_count,
     divisors,
     interval,
@@ -62,6 +64,37 @@ def _set_payload(s: FiniteSet) -> list[int]:
     return list(s.elements)
 
 
+# Listings are written this many items at a time, so the text of a long
+# list is never held whole.
+_CHUNK = 4096
+
+
+def _write_listing(items, fmt, sep: str, head: str, tail: str) -> None:
+    """Write head, the items formatted by fmt and joined by sep, then tail,
+    to the sys.stdout of the moment."""
+    out = sys.stdout
+    out.write(head)
+    for i in range(0, len(items), _CHUNK):
+        if i:
+            out.write(sep)
+        out.write(sep.join(map(fmt, items[i : i + _CHUNK])))
+    out.write(tail)
+
+
+# The JSON text of one listed item, as json.dumps writes it.
+
+def _set_json(s: FiniteSet) -> str:
+    return "[" + _elements_text(s.mask) + "]"
+
+
+def _lunar_json(n: lunar.LunarNumber) -> str:
+    return f'"{n}"'  # digits and "@" need no escaping
+
+
+def _composition_json(c: compositions.Composition) -> str:
+    return "[" + ", ".join(map(str, c.parts)) + "]"
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
@@ -73,11 +106,10 @@ def _cmd_sum(args) -> int:
 
 def _cmd_divisors(args) -> int:
     divs = divisors(parse_set(args.a))
-    _emit(
-        args,
-        "\n".join(str(d) for d in divs),
-        [_set_payload(d) for d in divs],
-    )
+    if args.json:
+        _write_listing(divs, _set_json, ", ", "[", "]\n")
+    else:
+        _write_listing(divs, str, "\n", "", "\n")
     return EXIT_OK
 
 
@@ -106,12 +138,11 @@ def _cmd_lunar(args) -> int:
         _emit(args, str(result), str(result))
     else:  # divisors
         divs = lunar.lunar_divisors(lunar.LunarNumber.parse(args.x))
-        plain = "\n".join(str(d) for d in divs) + f"\ncount: {len(divs)}"
-        _emit(
-            args,
-            plain,
-            {"divisors": [str(d) for d in divs], "count": len(divs)},
-        )
+        if args.json:
+            head = f'{{"count": {len(divs)}, "divisors": ['
+            _write_listing(divs, _lunar_json, ", ", head, "]}\n")
+        else:
+            _write_listing(divs, str, "\n", "", f"\ncount: {len(divs)}\n")
     return EXIT_OK
 
 
@@ -143,11 +174,10 @@ def _cmd_compositions(args) -> int:
         _emit(args, str(n), n)
         return EXIT_OK
     comps = compositions.enumerate_headstrong(args.n)
-    _emit(
-        args,
-        "\n".join(str(c) for c in comps),
-        [list(c.parts) for c in comps],
-    )
+    if args.json:
+        _write_listing(comps, _composition_json, ", ", "[", "]\n")
+    else:
+        _write_listing(comps, str, "\n", "", "\n")
     return EXIT_OK
 
 
@@ -194,7 +224,10 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser wiring.
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="sumdiv",
         description=(
@@ -291,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except DomainError as exc:

@@ -112,10 +112,37 @@ class FiniteSet:
         return hash(("FiniteSet", self._mask))
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(e) for e in self) + "}"
+        return "{" + _elements_text(self._mask) + "}"
 
     def __repr__(self) -> str:
-        return f"FiniteSet({{{', '.join(str(e) for e in self)}}})"
+        return "FiniteSet({" + _elements_text(self._mask) + "})"
+
+
+@functools.cache
+def _byte_texts() -> list[list[str]]:
+    # texts[p][v]: the elements 8p + i for the set bits i of the byte v,
+    # joined by ", ".  Each bit doubles a row: the values below 2^(i+1)
+    # are those below 2^i, then the same with element 8p + i appended.
+    texts = []
+    for p in range(8):
+        row = [""]
+        for e in map(str, range(8 * p, 8 * p + 8)):
+            row += [t + ", " + e if t else e for t in row]
+        texts.append(row)
+    return texts
+
+
+def _elements_text(mask: int) -> str:
+    """The elements of a mask, ascending, joined by ", "."""
+    texts = _byte_texts()
+    parts = []
+    p = 0
+    while mask:
+        if mask & 255:
+            parts.append(texts[p][mask & 255])
+        mask >>= 8
+        p += 1
+    return ", ".join(parts)
 
 
 EMPTY = FiniteSet()

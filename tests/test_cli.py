@@ -2,15 +2,19 @@
 stability of JSON reports.
 """
 
+import argparse
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumdiv import sets
+from sumdiv import cli, sets
 from sumdiv.cli import main, parse_set
+from sumdiv.compositions import enumerate_headstrong
 from sumdiv.errors import ParseError
+from sumdiv.lunar import LunarNumber, lunar_divisors
 from sumdiv.sets import FiniteSet, interval, interval_positive
 
 
@@ -273,6 +277,13 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    def test_lunar_mul_budget_error_is_1(self, capsys):
+        x = "1" * 20_000 + "@2"
+        code, out, err = run(capsys, "lunar", "mul", x, x)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
     def test_binary_lunar_node_budget_error_is_1(self, capsys, monkeypatch):
         monkeypatch.setattr(sets, "NODE_BUDGET", 50)
         code, out, err = run(capsys, "lunar", "divisors", "1" * 16 + "@2")
@@ -301,6 +312,121 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    def test_no_option_leaks_into_the_next_call(self, capsys):
+        run(capsys, "verify", "odd2", "--max-k", "5", "--json")
+        _, out, _ = run(capsys, "verify", "odd2", "--json")
+        assert json.loads(out)["data"]["range"] == {"max_k": 14}
+
+    def test_json_then_plain(self, capsys):
+        run(capsys, "count", "[3]", "--json")
+        _, out, _ = run(capsys, "divisors", "[1]")
+        assert out == "{0}\n{0, 1}\n"
+        run(capsys, "lunar", "divisors", "11@2", "--json")
+        _, out, _ = run(capsys, "lunar", "divisors", "11@2")
+        assert out == "1@2\n11@2\ncount: 2\n"
+
+    def test_valid_call_after_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "[3]", "--nosuch"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert run(capsys, "count", "[3]") == (0, "5\n", "")
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        main(["count", "[3]"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert run(capsys, "verify", "odd2", "--max-k", "4")[0] == 0
+        assert built == []
+
+
+class TestStreamedListings:
+    """Listings are written in chunks; the text is the one a single print of
+    the whole list writes, built here from the library's list.  A chunk of
+    7 items puts boundaries inside every list longer than 7."""
+
+    @pytest.fixture
+    def small_chunk(self, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK", 7)
+
+    @staticmethod
+    def _sets_text(divs, as_json):
+        if as_json:
+            return json.dumps([list(d) for d in divs], sort_keys=True) + "\n"
+        rows = ("{" + ", ".join(str(e) for e in d) + "}" for d in divs)
+        return "\n".join(rows) + "\n"
+
+    @staticmethod
+    def _lunar_text(n, as_json):
+        texts = [
+            "".join(str(x) for x in reversed(d.digits)) + f"@{d.base}"
+            for d in lunar_divisors(n)
+        ]
+        if as_json:
+            payload = {"divisors": texts, "count": len(texts)}
+            return json.dumps(payload, sort_keys=True) + "\n"
+        return "\n".join(texts) + f"\ncount: {len(texts)}\n"
+
+    @pytest.mark.usefixtures("small_chunk")
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_divisors(self, capsys, as_json):
+        flag = ["--json"] if as_json else []
+        for core in range(1, 256, 2):
+            for shift in range(3):
+                a = FiniteSet.from_mask(core << shift)
+                code = main(["divisors", ",".join(map(str, a))] + flag)
+                expected = self._sets_text(sets.divisors(a), as_json)
+                assert (code, capsys.readouterr().out) == (0, expected), a
+
+    @pytest.mark.usefixtures("small_chunk")
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_lunar_divisors(self, capsys, as_json):
+        flag = ["--json"] if as_json else []
+        numbers = [
+            LunarNumber(2, map(int, f"{m:b}"[::-1])) for m in range(1, 256)
+        ]
+        numbers += [
+            LunarNumber(3, digits)
+            for length in range(1, 6)
+            for digits in itertools.product(range(3), repeat=length)
+            if digits[-1]
+        ]
+        for n in numbers:
+            code = main(["lunar", "divisors", str(n)] + flag)
+            expected = self._lunar_text(n, as_json)
+            assert (code, capsys.readouterr().out) == (0, expected), n
+
+    @pytest.mark.usefixtures("small_chunk")
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_compositions(self, capsys, as_json):
+        flag = ["--json"] if as_json else []
+        for n in range(1, 11):
+            comps = enumerate_headstrong(n)
+            if as_json:
+                payload = [list(c.parts) for c in comps]
+                expected = json.dumps(payload, sort_keys=True) + "\n"
+            else:
+                expected = "\n".join(str(c) for c in comps) + "\n"
+            code = main(["compositions", str(n)] + flag)
+            assert (code, capsys.readouterr().out) == (0, expected), n
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_longer_than_a_chunk(self, capsys, as_json):
+        flag = ["--json"] if as_json else []
+        divs = sets.divisors(interval(16))
+        assert len(divs) > 2 * cli._CHUNK
+        code = main(["divisors", "[16]"] + flag)
+        expected = self._sets_text(divs, as_json)
+        assert (code, capsys.readouterr().out) == (0, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ with finite sets.
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumdiv import (
@@ -112,6 +112,12 @@ class TestLunarNumber:
     def test_str_parse_round_trip(self, x):
         assert LunarNumber.parse(str(x)) == x
 
+    @given(lunar_numbers(max_base=300))
+    @example(LunarNumber(11, (10, 0, 1)))
+    def test_str_writes_each_digit_in_decimal(self, x):
+        body = "".join(str(d) for d in reversed(x.digits)) or "0"
+        assert str(x) == f"{body}@{x.base}"
+
 
 class TestAddMul:
     def test_worked_add(self):
@@ -128,6 +134,19 @@ class TestAddMul:
             lunar_add(ln("1@2"), ln("1@3"))
         with pytest.raises(BaseMismatchError):
             lunar_mul(ln("1@2"), ln("1@3"))
+
+    def test_mul_budget(self, monkeypatch):
+        monkeypatch.setattr("sumdiv.lunar.MUL_DIGIT_BUDGET", 12)
+        assert lunar_mul(ln("111@2"), ln("1111@2")) == ln("111111@2")
+        with pytest.raises(BudgetError):
+            lunar_mul(ln("1111@2"), ln("1111@2"))
+
+    def test_mul_budget_checked_before_work(self):
+        x = ln("1" * 20_000 + "@2")
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            lunar_mul(x, x)
+        assert time.perf_counter() - start < 1
 
     @given(pairs_same_base())
     def test_mul_matches_naive(self, pair):

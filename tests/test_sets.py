@@ -79,6 +79,12 @@ class TestFiniteSet:
     def test_str(self):
         assert str(fs(0, 2, 3)) == "{0, 2, 3}"
         assert str(FiniteSet()) == "{}"
+        assert repr(fs(7, 8, 63)) == "FiniteSet({7, 8, 63})"
+
+    @given(st.frozensets(st.integers(0, 63)))
+    def test_str_lists_elements_ascending(self, elems):
+        text = ", ".join(str(e) for e in sorted(elems))
+        assert str(FiniteSet(elems)) == "{" + text + "}"
 
     def test_shifted(self):
         assert fs(1, 3).shifted(2) == fs(3, 5)
