@@ -107,8 +107,8 @@ class LunarNumber:
 
     def __str__(self) -> str:
         if self._base <= 10:
-            body = bytes(reversed(self._digits)).translate(_DIGIT_CHARS)
-            body = body.decode()
+            digits = bytes(reversed(self._digits))
+            body = digits.translate(_DIGIT_CHARS).decode()
         else:
             body = "".join(str(d) for d in reversed(self._digits))
         return f"{body or '0'}@{self._base}"

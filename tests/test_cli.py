@@ -5,6 +5,7 @@ stability of JSON reports.
 import argparse
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -278,8 +279,11 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     def test_lunar_mul_budget_error_is_1(self, capsys):
+        # 4e8 digit products would take about 30 s; the check comes first.
         x = "1" * 20_000 + "@2"
+        start = time.perf_counter()
         code, out, err = run(capsys, "lunar", "mul", x, x)
+        assert time.perf_counter() - start < 2
         assert (code, out) == (1, "")
         assert err.startswith("error:")
         assert err.count("\n") == 1

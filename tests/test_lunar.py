@@ -141,13 +141,6 @@ class TestAddMul:
         with pytest.raises(BudgetError):
             lunar_mul(ln("1111@2"), ln("1111@2"))
 
-    def test_mul_budget_checked_before_work(self):
-        x = ln("1" * 20_000 + "@2")
-        start = time.perf_counter()
-        with pytest.raises(BudgetError):
-            lunar_mul(x, x)
-        assert time.perf_counter() - start < 1
-
     @given(pairs_same_base())
     def test_mul_matches_naive(self, pair):
         x, y = pair
