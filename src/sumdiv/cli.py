@@ -91,6 +91,16 @@ def _lunar_json(n: lunar.LunarNumber) -> str:
     return f'"{n}"'  # digits and "@" need no escaping
 
 
+# A base-2 lunar divisor listed as its mask, digit i at bit i.
+
+def _binary_text(mask: int) -> str:
+    return f"{mask:b}@2"  # str of the LunarNumber
+
+
+def _binary_json(mask: int) -> str:
+    return f'"{mask:b}@2"'
+
+
 def _composition_json(c: compositions.Composition) -> str:
     return "[" + ", ".join(map(str, c.parts)) + "]"
 
@@ -137,12 +147,18 @@ def _cmd_lunar(args) -> int:
         )
         _emit(args, str(result), str(result))
     else:  # divisors
-        divs = lunar.lunar_divisors(lunar.LunarNumber.parse(args.x))
+        n = lunar.LunarNumber.parse(args.x)
+        if n.base == 2 and not n.is_zero:  # no LunarNumber per divisor
+            divs = lunar._binary_divisor_masks(n)
+            plain, quoted = _binary_text, _binary_json
+        else:
+            divs = lunar.lunar_divisors(n)
+            plain, quoted = str, _lunar_json
         if args.json:
             head = f'{{"count": {len(divs)}, "divisors": ['
-            _write_listing(divs, _lunar_json, ", ", head, "]}\n")
+            _write_listing(divs, quoted, ", ", head, "]}\n")
         else:
-            _write_listing(divs, str, "\n", "", f"\ncount: {len(divs)}\n")
+            _write_listing(divs, plain, "\n", "", f"\ncount: {len(divs)}\n")
     return EXIT_OK
 
 

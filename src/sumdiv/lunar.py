@@ -274,9 +274,7 @@ def lunar_divisors(n: LunarNumber) -> list[LunarNumber]:
     if n.is_zero:
         raise PreconditionError("lunar zero has no divisor list")
     if n.base == 2:
-        masks = _divisor_masks(beta_inv(n))
-        masks.sort()
-        return [_binary_from_mask(m) for m in masks]
+        return [_binary_from_mask(m) for m in _binary_divisor_masks(n)]
     if n.base ** len(n) > DIVISOR_ENUM_BUDGET:
         raise BudgetError(
             f"divisor enumeration over base {n.base}, length {len(n)} exceeds "
@@ -285,6 +283,14 @@ def lunar_divisors(n: LunarNumber) -> list[LunarNumber]:
     return [
         LunarNumber(n.base, yd) for yd in _divisor_digits(n.digits, n.base)
     ]
+
+
+def _binary_divisor_masks(n: LunarNumber) -> list[int]:
+    """The divisors of a nonzero base-2 n as ascending masks, digit i at
+    bit i: lunar_divisors' order, without a LunarNumber per divisor."""
+    masks = _divisor_masks(beta_inv(n))
+    masks.sort()
+    return masks
 
 
 def lunar_divisor_count(n: LunarNumber) -> int:

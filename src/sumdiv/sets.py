@@ -21,7 +21,6 @@ ELEMENT_BOUND = 63
 # CapacityError past this many nodes.  d([24]) takes 3.96 million, and a
 # search that hits the budget stops within about 15 s in-process on 2 cores.
 NODE_BUDGET = 1 << 22
-_COUNT_IRREDUCIBLE_BOUND = 19
 
 
 class FiniteSet:
@@ -342,23 +341,3 @@ def is_irreducible(a: FiniteSet) -> bool:
     if len(a) < 2:
         raise PreconditionError("irreducibility is undefined for |a| < 2")
     return _core_is_irreducible(a.mask >> a.min)
-
-
-def count_irreducible(k: int) -> int:
-    """Number of irreducible A with max(A) = k, |A| >= 2, A within [0, k]."""
-    if k < 1:
-        raise PreconditionError("count_irreducible needs k >= 1")
-    if k > _COUNT_IRREDUCIBLE_BOUND:
-        raise CapacityError(
-            f"count_irreducible({k}) exceeds the bound {_COUNT_IRREDUCIBLE_BOUND}"
-        )
-    top = 1 << k
-    total = 0
-    for rest in range(1 << k):
-        mask = rest | top
-        if mask.bit_count() < 2:
-            continue
-        low = (mask & -mask).bit_length() - 1
-        if _core_is_irreducible(mask >> low):
-            total += 1
-    return total

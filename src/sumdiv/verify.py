@@ -1,12 +1,17 @@
 """Exhaustive desk-scale verification sweeps and conjecture probes.
 
 Theorem targets report pass/fail with explicit counterexamples; conjecture
-probes only ever report evidence.  One pair-sieve table of divisor counts
-(numpy, imported only when a sweep runs) serves crlodd, crleven, odd2 and
-pi2; crlodd's promotion phase reads the same rooted pairs.  L15 checks the
-table, through the translation lemma, against the sieve over all pairs.
-bases runs a pure-Python pair sieve over multisets packed as chains of
-sets, so it never loads numpy.  Every target runs in the calling process.
+probes only ever report evidence.  The set targets share one pair sieve of
+divisor counts (numpy, imported only when a sweep runs), run one block of
+sets with max A = m at a time.  A block does not depend on any target's
+range, so each process reduces a rooted block once to the summary that
+crlodd, crleven, odd2 and pi2 read: its top and second d with the sets
+reaching them, d([m]) and its count of d = 2.  crlodd sieves a block again
+only to list a rival of [k], and its promotion phase reads the same pairs.
+L15 streams whole blocks, and checks the rooted ones, through the
+translation lemma, against the blocks sieved over all pairs.  bases runs a
+pure-Python pair sieve over multisets packed as chains of sets, so it
+never loads numpy.  Every target runs in the calling process.
 
 A target is one row of _TARGETS: its runner and each size parameter's
 default and bound.  Runners return their counterexamples and details, and
@@ -18,6 +23,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import promotion
@@ -41,6 +47,7 @@ class VerificationReport:
     counterexamples: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
     elapsed: float = 0.0
+    meta: dict = field(default_factory=dict)  # how the run went, not its result
 
     def data_dict(self) -> dict:
         return {
@@ -59,65 +66,129 @@ class VerificationReport:
             "meta": {
                 "elapsed_seconds": self.elapsed,
                 "worker_count": 1,  # every target runs in this process
+                **self.meta,
             },
         }
 
 
 # ---------------------------------------------------------------------------
-# Divisor counting over bit masks.
+# The divisor sieve, one block of sets with max A = m at a time.
 
-def _pair_rows(max_k: int, rooted: bool = True):
-    """The pairs (B, C) of the divisor sieve with max(B) + max(C) <= max_k,
-    one b = max(B) at a time, as int32 rows[i, j] = B_i + C_j.  Rooted,
-    B_i = {0, b} | (i << 1) and C_j = 2j + 1 runs over the 0-rooted sets;
-    otherwise B_i = {b} | i and C_j = j + 1.  C_j ascends, so max C never
-    falls along a row.  Masks are int32, so max_k <= 30.
+# The block sieve fills and counts at most this many sums at a time, so
+# that its temporaries stay small next to a block's rows.
+_CHUNK = 1 << 20
+
+
+def _block_sums(m: int, rooted: bool = True, every: bool = False):
+    """The pairs (B, C) of the divisor sieve with max B + max C = m, one
+    b = max B at a time: yields b and the int32 rows[i, j] = B_i + C_j,
+    which all lie in [2^m, 2^(m+1)).  Rooted, B_i = {0, b} | (i << 1) and
+    C_j = {0, m - b} | (j << 1) run over the 0-rooted sets; otherwise
+    B_i = {b} | i and C_j = {m - b} | j.
+
+    b runs over 1..m-1, or over 0..m with every.  b = 0 and b = m are the
+    pairs B = {0} and B = A, which add 1 each to every set.  Rooted, their
+    rows hold 2^(m-1) pairs, against 2^(m-2) for every other b; otherwise
+    each b holds 2^m.  Masks are int32, so m <= 30.
     """
     import numpy as np
 
     step, first = (2, 1) if rooted else (1, 0)
-    for b in range(max_k + 1):
-        cs = np.arange(1, 2 << (max_k - b), step, dtype=np.int32)
-        # Start from B = {0, b} (rooted) or {b}; each element e in
-        # [first, b-1] doubles the rows.
-        rows = np.empty((1 << max(b - first, 0), len(cs)), dtype=np.int32)
-        rows[0] = (cs | (cs << b)) if rooted else (cs << b)
-        for e in range(first, b):
-            n = 1 << (e - first)
-            np.bitwise_or(rows[:n], cs << e, out=rows[n : 2 * n])
-        yield rows
+
+    def count(t):  # how many sets have max t
+        return 1 << max(t - first, 0)
+
+    for b in range(m + 1) if every else range(1, m):
+        rows = np.empty((count(b), count(m - b)), dtype=np.int32)
+        # X + Y for the factor Y with the smaller max t: X shifted by t,
+        # or'ed with X shifted by each element e of Y below t, each e
+        # doubling the filled part of Y's axis.  X's axis is filled
+        # _CHUNK sets at a time, so that no list of all of X is held.
+        out, t = (rows, b) if b <= m - b else (rows.T, m - b)
+        x0, xs = 1 << (m - t) | (first if m > t else 0), count(m - t)  # first X, how many
+        for j in range(0, xs, _CHUNK):
+            stop = x0 + step * min(j + _CHUNK, xs)
+            x = np.arange(x0 + step * j, stop, step, dtype=np.int32)
+            part = out[:, j : j + _CHUNK]
+            np.left_shift(x, t, out=part[0])
+            if rooted:
+                np.bitwise_or(part[0], x, out=part[0])
+            for e in range(first, t):
+                n = 1 << (e - first)
+                np.left_shift(x, e, out=part[n : 2 * n])
+                np.bitwise_or(part[n : 2 * n], part[:n], out=part[n : 2 * n])
+        del out, x, part
+        yield b, rows
+        del rows  # before the next b allocates its rows
 
 
-def _divisor_table(max_k: int, rooted: bool = True):
-    """d(A) for every 0-rooted A with max(A) <= max_k, as a numpy array
-    indexed by mask; entries at even masks are 0.  With rooted=False, d(A)
-    for every nonempty A with max(A) <= max_k, counted from all pairs
-    without the reduction to 0-rooted sets.
+# How many blocks _block_counts has sieved in this process.
+_SIEVED = [0]
 
-    The distinct entries of row i of _pair_rows are exactly the sets B_i
-    divides, so counting them per set counts its divisors.  That is
-    (max_k + 1) * 2^(max_k - 1) pairs rooted and max_k * 2^(max_k + 1) + 1
-    in all.
+def _block_counts(m: int, rooted: bool = True):
+    """d(A) for every A with max A = m, as uint32 counts[i]: rooted, for
+    the 0-rooted A = 2^m | 2i | 1 (i = 0 is {0} at m = 0); otherwise for
+    every A = 2^m | i, counted from all pairs without the reduction.
+
+    The distinct entries of a row of _block_sums are exactly the sets its
+    B divides, so counting them per set counts its divisors.  The pairs
+    B = {0} and B = A are added as 2 (1 at m = 0) without sieving.
     """
     import numpy as np
 
-    size = 2 << max_k
-    table = np.zeros(size, dtype=np.int64)
-    for rows in _pair_rows(max_k, rooted):
+    _SIEVED[0] += 1
+    size = 1 << max(m - rooted, 0)
+    counts = np.full(size, 2 if m else 1, dtype=np.uint32)
+    one = np.uint32(1)  # a uint32 increment keeps np.add.at on its fast path
+    for _, rows in _block_sums(m, rooted):
         rows.sort(axis=1)
-        distinct = np.ones(rows.shape, dtype=bool)
-        distinct[:, 1:] = rows[:, 1:] != rows[:, :-1]
-        table += np.bincount(rows[distinct], minlength=size)
-    return table
+        width, flat = rows.shape[1], rows.reshape(-1)
+        del rows
+        for s in range(0, len(flat), _CHUNK):
+            # Keep each row's first entry and each entry unlike the one before.
+            part = flat[s : s + _CHUNK]
+            distinct = np.empty(len(part), dtype=bool)
+            np.not_equal(part[1:], part[:-1], out=distinct[1:])
+            distinct[0] = s % width == 0 or part[0] != flat[s - 1]
+            distinct[-s % width :: width] = True
+            index = part[distinct]
+            if rooted:
+                index >>= 1
+            index &= size - 1
+            np.add.at(counts, index, one)
+        del flat, part  # before the next b allocates its rows
+    return counts
 
 
-def _general_table(table):
-    """d(A) for every nonempty A read off a _divisor_table, by the
-    translation lemma d(A) = (min A + 1) d(A - {min A})."""
-    general = table.copy()  # odd masks are their own cores
-    for r in range(1, (len(table) - 1).bit_length()):
-        general[1 << r :: 2 << r] = (r + 1) * table[1 : len(table) >> r : 2]
-    return general
+class _Block(NamedTuple):
+    """What the table targets read of one rooted block."""
+
+    top: int  # the largest d among the 0-rooted sets with max m
+    top_masks: tuple  # the sets reaching it, ascending
+    second: int  # the next largest d, 0 when there is none
+    second_masks: tuple
+    full: int  # d([m])
+    twos: int  # how many have d = 2, the irreducible ones for m >= 1
+
+
+@lru_cache(maxsize=None)
+def _block_summary(m: int) -> _Block:
+    """The summary of rooted block m.  It does not depend on any target's
+    range, so each process sieves a block at most once."""
+    counts = _block_counts(m)
+    base = 1 << m | 1
+
+    def masks(i) -> tuple:
+        return tuple((i << 1 | base).tolist())
+
+    top = int(counts.max())
+    top_at = (counts == top).nonzero()[0]
+    full = int(counts[-1])
+    twos = int((counts == 2).sum())
+    counts[top_at] = 0
+    second = int(counts.max())
+    second_at = (counts == second).nonzero()[0] if second else top_at[:0]
+    return _Block(top, masks(top_at), second, masks(second_at), full, twos)
 
 
 def _set_text(mask: int) -> str:
@@ -129,23 +200,27 @@ def _promotion_members(max_k: int):
     each k in 1..max_k, read off the rooted sieve pairs (B, C), B + C = A.
 
     Yields k, m and int64 arrays a, b, member for the a with max(a) = m,
-    m descending from k: one entry per member of the family of divisor b
-    of a, sorted by (a, member, b) without repeats.  A pair adds b when
-    max b <= max c, and promote(a, k, b, max c) when max b >= max c: in
-    bits, b | (missing & [0, max c)) | (missing >> max c), missing = [k] - a.
-    Keys pack the three odd masks without bit 0 in 3k bits: max_k <= 21.
+    m descending from max_k and, for each m, k ascending from m: one entry
+    per member of the family of divisor b of a, sorted by (a, member, b)
+    without repeats.  A pair adds b when max b <= max c, and
+    promote(a, k, b, max c) when max b >= max c: in bits,
+    b | (missing & [0, max c)) | (missing >> max c), missing = [k] - a.
+    Only block m's pairs are held.  Keys pack the three odd masks without
+    bit 0 in 3k bits: max_k <= 21.
     """
     import numpy as np
 
-    rows = list(_pair_rows(max_k))
-    for k in range(1, max_k + 1):
-        full = (2 << k) - 1
-        for m in range(k, -1, -1):
+    for m in range(max_k, -1, -1):
+        pairs = [
+            (top, rows, 1 | 1 << top | np.arange(len(rows), dtype=np.int64)[:, None] << 1)
+            for top, rows in _block_sums(m, every=True)
+        ]
+        for k in range(max(m, 1), max_k + 1):
+            full = (2 << k) - 1
             keys = []
-            for top in range(m + 1):  # max B; the columns with max C = m - top
+            for top, rows, b in pairs:  # top = max B, low = max C
                 low = m - top
-                a = rows[top][:, (1 << low) >> 1 : 1 << low].astype(np.int64)
-                b = 1 | 1 << top | np.arange(len(a), dtype=np.int64)[:, None] << 1
+                a = rows.astype(np.int64)
                 if top <= low:
                     keys.append(_member_keys(k, a, b, b))
                 if top >= low:
@@ -178,12 +253,13 @@ def _promotion_failures(max_k: int) -> list:
     import numpy as np
 
     bad = []
+    divides_full = {}  # k -> which masks divide [k]
     for k, m, a, b, member in _promotion_members(max_k):
         full = (2 << k) - 1
-        if m == k:  # the first block of each k holds the pairs of [k]
-            divides_full = np.zeros(2 << k, dtype=bool)
-            divides_full[b[a == full]] = True
-        flag = ~divides_full[member]
+        if m == k:  # block k comes first for this k and holds the pairs of [k]
+            divides_full[k] = np.zeros(2 << k, dtype=bool)
+            divides_full[k][b[a == full]] = True
+        flag = ~divides_full[k][member]
         # Sorted by (a, member, b), so a member of two families is adjacent.
         flag[1:] |= (a[1:] == a[:-1]) & (member[1:] == member[:-1])
         if k >= 3:  # the witness depends on a only at a = [k] - {2}
@@ -208,28 +284,41 @@ def run_crlodd(max_k: int, promotion_max_k: int) -> tuple[list, dict]:
     """[k] is the unique d-maximum among 0-rooted sets with max <= k,
     plus the promotion-family disjointness that underpins it."""
     bad = _promotion_failures(promotion_max_k)  # first, so the peaks never add
-    table = _divisor_table(max_k)
-    full = interval(max_k).mask
-    limit = int(table[full])
-    bad.extend(
-        {"set": _set_text(mask), "d": int(table[mask]), "limit": limit}
-        for mask in (table >= limit).nonzero()[0].tolist()
-        if mask != full
-    )
+    full = (2 << max_k) - 1
+    limit = _block_summary(max_k).full
+    for m in range(max_k + 1):
+        block = _block_summary(m)
+        if block.top < limit or block.top_masks == (full,):
+            continue
+        # A rival: sieve the block again to list every set reaching limit.
+        counts = _block_counts(m)
+        for i in (counts >= limit).nonzero()[0].tolist():
+            mask = 1 << m | i << 1 | 1
+            if mask != full:
+                bad.append({"set": _set_text(mask), "d": int(counts[i]), "limit": limit})
     bad.sort(key=lambda c: (c.get("k", -1), c["set"]))
     return bad, {"d_full_interval": limit}
 
 
 def run_crleven(max_k: int) -> tuple[list, dict]:
     """[k+] = {1,...,k} is the d-maximum over all nonempty subsets of [k],
-    unique except the documented ties at k = 1 and k = 3."""
-    general = _general_table(_divisor_table(max_k))
+    unique except the documented ties at k = 1 and k = 3.
+
+    A subset with min r and core A - {r} in block j has d = (r + 1) d(core)
+    and r <= k - j, so the maximum over [k] is max_j (k - j + 1) M_j, M_j
+    the top of block j, reached exactly by block j's top sets shifted by
+    k - j for each j attaining it."""
+    tops = [_block_summary(j) for j in range(max_k + 1)]
     bad = []
     ties_seen = {}
     for k in range(1, max_k + 1):
-        d = general[: 2 << k]  # d of the empty set (mask 0) is 0
-        best = int(d.max())
-        argmax = (d == best).nonzero()[0].tolist()
+        best = max((k - j + 1) * tops[j].top for j in range(k + 1))
+        argmax = [
+            mask << k - j
+            for j in range(k + 1)
+            if (k - j + 1) * tops[j].top == best
+            for mask in tops[j].top_masks
+        ]
         kplus = (1 << (k + 1)) - 2
         allowed = {kplus}
         if k == 1:
@@ -251,17 +340,23 @@ def run_crleven(max_k: int) -> tuple[list, dict]:
 
 def run_l15(max_k: int) -> tuple[list, dict]:
     """d(A) = (min(A)+1) d(A - {min A}) for every nonempty A within [max_k],
-    checked against divisor counts from all pairs, without the reduction."""
-    expected = _general_table(_divisor_table(max_k))
-    actual = _divisor_table(max_k, rooted=False)
-    bad = [
-        {
-            "set": _set_text(mask),
-            "d": int(actual[mask]),
-            "formula": int(expected[mask]),
-        }
-        for mask in (actual != expected).nonzero()[0].tolist()
-    ]
+    checked against divisor counts from all pairs, without the reduction.
+
+    Block m of all pairs holds A = 2^m | i.  The A with min r < m sit at
+    i = (2t + 1) << r, whose core 2^(m-r) | 2t | 1 is entry t of rooted
+    block m - r; A = {m} sits at i = 0, with core {0}."""
+    rooted = []  # rooted[j]: the rooted block j, kept for the later blocks
+    bad = []
+    for m in range(max_k + 1):
+        rooted.append(_block_counts(m))
+        actual = _block_counts(m, rooted=False)
+        for r in range(m + 1):
+            got = actual[1 << r :: 2 << r] if r < m else actual[:1]
+            core = rooted[m - r]
+            for t in (got != (r + 1) * core).nonzero()[0].tolist():
+                mask = 1 << m | (2 * t + 1) << r
+                formula = (r + 1) * int(core[t])
+                bad.append({"set": _set_text(mask), "d": int(got[t]), "formula": formula})
     bad.sort(key=lambda c: c["set"])
     return bad, {}
 
@@ -269,7 +364,7 @@ def run_l15(max_k: int) -> tuple[list, dict]:
 def _chain_table(max_k: int, height: int) -> Counter:
     """d of every nonzero multiset with elements <= max_k and multiplicities
     <= height, counted from all pairs (Y, Z) with max Y + max Z <= max_k:
-    the multiset counterpart of _divisor_table(max_k, rooted=False).
+    the multiset counterpart of the all-pairs blocks of _block_counts.
 
     A multiset is packed as its chain A_1 >= ... >= A_height, coordinate i
     in bits [i (max_k + 1), (i + 1) (max_k + 1)).  Y + Z is the OR, over
@@ -332,24 +427,19 @@ def run_bases(max_k: int) -> tuple[list, dict]:
 
 def run_odd2(max_k: int) -> tuple[list, dict]:
     """Where does the second-largest d_2 among odd k-digit binary numbers
-    occur?  The conjecture says 2^k - 3 for k >= 3, k != 5."""
-    table = _divisor_table(max_k - 1) if max_k >= 3 else None
+    occur?  The conjecture says 2^k - 3 for k >= 3, k != 5.  Those numbers
+    are the 0-rooted sets of block k - 1."""
     rows = []
     for k in range(3, max_k + 1):
-        lowtop = 1 | (1 << (k - 1))
-        values = table[lowtop : 1 << k : 2]
-        best = int(values.max())
         # {0, k-1} has d = 2 and [k-1] has d >= 3, so a second value exists.
-        second = int(values[values < best].max())
-        locations = [
-            lowtop + 2 * i for i in (values == second).nonzero()[0].tolist()
-        ]
+        block = _block_summary(k - 1)
+        locations = list(block.second_masks)
         predicted = (1 << k) - 3
         rows.append(
             {
                 "k": k,
-                "largest_d": best,
-                "second_d": second,
+                "largest_d": block.top,
+                "second_d": block.second,
                 "second_locations": [
                     {"n": m, "set": _set_text(m)} for m in locations
                 ],
@@ -369,11 +459,10 @@ def run_pi2(max_k: int) -> tuple[list, dict]:
     digit count is 2^(k-1).  Such an A is a core A - {min A} with max j >= 1
     shifted by k - j, and it is irreducible iff d(core) = 2, so count(k)
     sums the cores with d = 2 over j <= k."""
-    table = _divisor_table(max_k)
     rows = []
     count = 0
     for k in range(1, max_k + 1):
-        count += int((table[1 | 1 << k : 2 << k : 2] == 2).sum())
+        count += _block_summary(k).twos
         predicted = 1 << (k - 1)
         rows.append(
             {
@@ -393,17 +482,23 @@ class _Target(NamedTuple):
     fixed: dict = {}  # reported in the range, not settable
 
 
-# One row per target.  Bounds are checked before any work starts.  The
-# divisor table peaks near 200 MB at max_k = 22; L15 holds both of its
-# sides and builds the larger all-pairs table, and peaks near 200 MB at
-# max_k = 21 (380 MB at 22).  bases keeps d for 3^(max_k+1) multisets
-# and peaks near 130 MB at max_k = 11 (370 MB at 12).  crlodd's promotion
-# phase peaks near 210 MB at promotion_max_k = 20 (400 MB at 21) and runs
-# before the table.
+# One row per target.  Bounds are checked before any work starts, and are
+# set by memory, measured in a fresh process on 2 cores.  A table target
+# holds one block at a time: the counts of block m (4 * 2^(m-1) bytes) and
+# one b's sums (4 * 2^(m-2) bytes).  crlodd, crleven and pi2 read blocks
+# up to max_k: 0.6 s and 51 MB at 22, 4.4-5.6 s and 138-154 MB at 25,
+# 10-11 s and 234-250 MB at 26 (the whole-range table took 1.3-1.5 s and
+# 209 MB at 22).  odd2 reads blocks up to max_k - 1: 10 s and 250 MB at 27.
+# L15 also keeps every rooted block and sieves 2^m sums per b for all
+# pairs: 3.3 s and 102 MB at 22, 6.7 s and 162 MB at 23, 12 s and 282 MB
+# at 24.  bases keeps d for 3^(max_k+1) multisets and peaks near 130 MB at
+# max_k = 11 (370 MB at 12).  crlodd's promotion phase holds one block's
+# pairs and peaks near 200 MB at promotion_max_k = 20 (380 MB at 21); it
+# runs before the blocks.
 _TARGETS = {
-    "crlodd": _Target(run_crlodd, {"max_k": (14, 22), "promotion_max_k": (10, 20)}),
-    "crleven": _Target(run_crleven, {"max_k": (12, 22)}),
-    "L15": _Target(run_l15, {"max_k": (12, 21)}),
+    "crlodd": _Target(run_crlodd, {"max_k": (14, 26), "promotion_max_k": (10, 20)}),
+    "crleven": _Target(run_crleven, {"max_k": (12, 26)}),
+    "L15": _Target(run_l15, {"max_k": (12, 24)}),
     "bases": _Target(
         run_bases,
         {"max_k": (5, 11)},
@@ -412,8 +507,8 @@ _TARGETS = {
             "formula_heights": list(FORMULA_HEIGHTS),
         },
     ),
-    "odd2": _Target(run_odd2, {"max_k": (14, 22)}),
-    "pi2": _Target(run_pi2, {"max_k": (14, 22)}),
+    "odd2": _Target(run_odd2, {"max_k": (14, 27)}),
+    "pi2": _Target(run_pi2, {"max_k": (14, 26)}),
 }
 
 
@@ -439,8 +534,18 @@ def run_target(name: str, **params) -> VerificationReport:
                 f"{key} {value} exceeds the bound {bound} for target {name!r}"
             )
         kwargs[key] = value
+    sieved, reused = _SIEVED[0], _block_summary.cache_info().hits
     start = time.perf_counter()
     bad, details = target.runner(**kwargs)
+    elapsed = time.perf_counter() - start
+    import resource
+
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    meta = {
+        "peak_rss_mb": round(peak_kib / 1024, 1),  # this process's peak so far
+        "blocks_sieved": _SIEVED[0] - sieved,
+        "blocks_reused": _block_summary.cache_info().hits - reused,
+    }
     status = "fail" if bad else "pass"
     return VerificationReport(
         target=name,
@@ -448,5 +553,6 @@ def run_target(name: str, **params) -> VerificationReport:
         status="evidence-only" if name in CONJECTURE_TARGETS else status,
         counterexamples=bad,
         details=details,
-        elapsed=time.perf_counter() - start,
+        elapsed=elapsed,
+        meta=meta,
     )

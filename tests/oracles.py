@@ -1,11 +1,14 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here is deliberately naive: plain Python sets (or bit masks),
+Most of it is deliberately naive: plain Python sets (or bit masks),
 full search over every candidate, no reuse of the library's reductions.
-Slow but obviously correct, which is the point.  The submask walks are the
-one exception: they test every subset of a 0-rooted core with the library's
+Slow but obviously correct, which is the point.  Three are less naive.  The
+submask walks test every subset of a 0-rooted core with the library's
 divisibility kernel, which the naive oracles check, and are the oracles of
-the pruned divisor search.
+the pruned divisor search.  divisor_table sieves every factor pair of a
+whole range at once, checked against direct_divisor_count and
+naive_divisors, and is the oracle of the block sieve.  count_irreducible
+runs the library's irreducibility test on every set, and is pi2's oracle.
 """
 
 from itertools import chain, combinations, product
@@ -13,7 +16,7 @@ from itertools import chain, combinations, product
 import numpy as np
 
 from sumdiv.promotion import _iter_submasks
-from sumdiv.sets import _divides_mask
+from sumdiv.sets import _core_is_irreducible, _divides_mask
 
 
 def naive_sumset(a: frozenset, b: frozenset) -> frozenset:
@@ -57,6 +60,45 @@ def direct_divisor_count(amask: int) -> int:
         sh = cands << c
         prod |= np.where((sh & ~amask) == 0, sh, 0)
     return int(np.count_nonzero(prod == amask))
+
+
+def divisor_table(max_k: int, rooted: bool = True):
+    """d(A) for every 0-rooted A with max(A) <= max_k, as an int64 array
+    indexed by mask (0 at even masks); with rooted=False, d(A) for every
+    nonempty A with max(A) <= max_k.  One sieve over the whole range, with
+    no split by max A and no pair left out: for each b = max B, row i holds
+    B_i + C_j over every C with max B + max C <= max_k, and the distinct
+    entries of a row are exactly the sets B_i divides.  Rooted,
+    B_i = {0, b} | (i << 1) and C_j = 2j + 1; otherwise B_i = {b} | i and
+    C_j = j + 1.
+    """
+    step, first = (2, 1) if rooted else (1, 0)
+    size = 2 << max_k
+    table = np.zeros(size, dtype=np.int64)
+    for b in range(max_k + 1):
+        cs = np.arange(1, 2 << (max_k - b), step, dtype=np.int64)
+        rows = np.empty((1 << max(b - first, 0), len(cs)), dtype=np.int64)
+        rows[0] = (cs | (cs << b)) if rooted else (cs << b)
+        for e in range(first, b):
+            n = 1 << (e - first)
+            rows[n : 2 * n] = rows[:n] | cs << e
+        rows.sort(axis=1)
+        distinct = np.ones(rows.shape, dtype=bool)
+        distinct[:, 1:] = rows[:, 1:] != rows[:, :-1]
+        table += np.bincount(rows[distinct], minlength=size)
+    return table
+
+
+def count_irreducible(k: int) -> int:
+    """Number of irreducible A with max(A) = k, |A| >= 2, A within [0, k],
+    each tested on its own by the library's pruned divisor search."""
+    total = 0
+    for rest in range(1 << k):
+        mask = rest | 1 << k
+        core = mask >> (mask & -mask).bit_length() - 1
+        if mask.bit_count() >= 2 and _core_is_irreducible(core):
+            total += 1
+    return total
 
 
 def walk_divisor_masks(core: int) -> list:

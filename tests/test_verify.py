@@ -1,7 +1,8 @@
 """Verification harness: report structure, target dispatch, range checks,
-and agreement between the divisor table in both modes, the direct counter
-and the library's divisor counting, between the promotion sieve and
-promotion.py, and between the chain sieve and the lunar divisor lists.
+and agreement between the block sieve in both modes, the whole-range table
+oracle, the direct counter and the library's divisor counting, between the
+promotion sieve and promotion.py, and between the chain sieve and the lunar
+divisor lists.
 """
 
 import argparse
@@ -20,7 +21,6 @@ from sumdiv import (
     CapacityError,
     FiniteSet,
     PreconditionError,
-    count_irreducible,
     divisor_count,
     divisors,
     headstrong_count,
@@ -36,13 +36,19 @@ from sumdiv.cli import build_parser, main
 from sumdiv.verify import (
     CONJECTURE_TARGETS,
     THEOREM_TARGETS,
+    _block_counts,
+    _block_summary,
     _chain_table,
-    _divisor_table,
-    _general_table,
     run_target,
 )
 
-from .oracles import direct_divisor_count, naive_divisors, naive_lunar_divisors
+from .oracles import (
+    count_irreducible,
+    direct_divisor_count,
+    divisor_table,
+    naive_divisors,
+    naive_lunar_divisors,
+)
 
 
 def _nonzero_multisets(max_k: int, height: int):
@@ -58,10 +64,42 @@ def _pack(mults: tuple) -> int:
     return sum(1 << (i * width + e) for e, m in enumerate(mults) for i in range(m))
 
 
+@pytest.fixture
+def fresh_blocks():
+    """An empty block-summary cache before and after the test, so planted
+    counts neither meet cached summaries nor outlive the test."""
+    _block_summary.cache_clear()
+    yield
+    _block_summary.cache_clear()
+
+
+def _blocks_agree_with_oracle(max_k: int):
+    rooted, every = divisor_table(max_k), divisor_table(max_k, rooted=False)
+    for m in range(max_k + 1):
+        assert (_block_counts(m) == rooted[1 << m | 1 : 2 << m : 2]).all(), m
+        assert (_block_counts(m, rooted=False) == every[1 << m : 2 << m]).all(), m
+
+
+def _oracle_summary(table, m: int) -> tuple:
+    """The fields of _block_summary(m), read off the whole-range table."""
+    masks = range(1 << m | 1, 2 << m, 2)
+    d = {mask: int(table[mask]) for mask in masks}
+    top = max(d.values())
+    second = max((v for v in d.values() if v < top), default=0)
+    return (
+        top,
+        tuple(mask for mask in masks if d[mask] == top),
+        second,
+        tuple(mask for mask in masks if second and d[mask] == second),
+        d[(2 << m) - 1],
+        sum(v == 2 for v in d.values()),
+    )
+
+
 class TestCounters:
     def test_table_matches_direct_count(self):
-        rooted = _divisor_table(10)
-        every = _divisor_table(10, rooted=False)
+        rooted = divisor_table(10)
+        every = divisor_table(10, rooted=False)
         assert len(rooted) == len(every) == 1 << 11
         assert rooted[0] == every[0] == 0
         for mask in range(1, 1 << 11):
@@ -70,20 +108,54 @@ class TestCounters:
             assert rooted[mask] == (d if mask & 1 else 0), mask
 
     def test_all_pairs_table_matches_naive_divisors(self):
-        every = _divisor_table(6, rooted=False)
+        every = divisor_table(6, rooted=False)
         for mask in range(1, 1 << 7):
             a = frozenset(FiniteSet.from_mask(mask).elements)
             assert every[mask] == len(naive_divisors(a)), mask
 
-    def test_table_interval_is_headstrong_count(self):
-        table = _divisor_table(18)
-        for k in range(19):
-            assert table[(2 << k) - 1] == headstrong_count(k + 1)
+    def test_block_counts_match_oracle(self):
+        # Every mask of every block, rooted and all-pairs, for max_k <= 16.
+        _blocks_agree_with_oracle(16)
+
+    @pytest.mark.stretch
+    def test_block_counts_match_oracle_stretch(self):
+        _blocks_agree_with_oracle(20)
+
+    def test_block_summary_matches_oracle(self, fresh_blocks):
+        table = divisor_table(16)
+        for m in range(17):
+            assert tuple(_block_summary(m)) == _oracle_summary(table, m), m
+
+    def test_table_interval_is_headstrong_count(self, fresh_blocks):
+        # [m] is the unique top of block m, at d([m]) = H(m + 1).
+        for m in range(19):
+            block = _block_summary(m)
+            assert block.top == block.full == headstrong_count(m + 1)
+            assert block.top_masks == ((2 << m) - 1,)
+
+    @pytest.mark.stretch
+    def test_block_top_is_headstrong_count_through_bounds(self, fresh_blocks):
+        # Every block a table target reads at its bound; odd2 reads blocks
+        # up to max_k - 1.
+        bounds = {name: row.sizes["max_k"][1] for name, row in verify._TARGETS.items()}
+        top = max(bounds["crlodd"], bounds["crleven"], bounds["pi2"], bounds["odd2"] - 1)
+        for m in range(top + 1):
+            block = _block_summary(m)
+            assert block.top == block.full == headstrong_count(m + 1), m
+            assert block.top_masks == ((2 << m) - 1,), m
+
+    def test_block_counts_in_small_chunks(self, monkeypatch):
+        # Chunks that end inside rows and span several rows fill and count
+        # the same.
+        monkeypatch.setattr(verify, "_CHUNK", 24)
+        _blocks_agree_with_oracle(11)
 
     def test_general_table_matches_library(self):
-        general = _general_table(_divisor_table(8))
-        for mask in range(1, 1 << 9):
-            assert general[mask] == divisor_count(FiniteSet.from_mask(mask))
+        # The all-pairs blocks hold d of every nonempty set.
+        for m in range(9):
+            counts = _block_counts(m, rooted=False)
+            for i, d in enumerate(counts.tolist()):
+                assert d == divisor_count(FiniteSet.from_mask(1 << m | i))
 
     def test_pi2_rows_match_count_irreducible(self):
         rows = run_target("pi2", max_k=14).details["rows"]
@@ -290,23 +362,87 @@ class TestDispatch:
         assert r.counterexamples == []
 
     def test_l15_reports_planted_fault(self, monkeypatch):
-        # A wrong expected side at one mask must surface as exactly that
-        # counterexample, with the true count from the all-pairs side.
-        mask = 0b1011000
-        true_d = divisor_count(FiniteSet.from_mask(mask))
-        general = verify._general_table
+        # A wrong count for the core {0, 1, 3} on the rooted side must
+        # surface at each of its shifts within [8], and nowhere else, with
+        # the true count from the all-pairs side.
+        core = 0b1011
+        block_counts = verify._block_counts
 
-        def planted(table):
-            out = general(table)
-            out[mask] += 1
-            return out
+        def planted(m, rooted=True):
+            counts = block_counts(m, rooted)
+            if rooted and m == 3:
+                counts[(core >> 1) & 3] += 1
+            return counts
 
-        monkeypatch.setattr(verify, "_general_table", planted)
+        monkeypatch.setattr(verify, "_block_counts", planted)
         r = run_target("L15", max_k=8)
-        assert r.status == "fail"
-        assert r.counterexamples == [
-            {"set": "{3, 4, 6}", "d": true_d, "formula": true_d + 1}
+        d = divisor_count(FiniteSet.from_mask(core))
+        want = [
+            {
+                "set": str(FiniteSet.from_mask(core << s)),
+                "d": (s + 1) * d,
+                "formula": (s + 1) * (d + 1),
+            }
+            for s in range(6)
         ]
+        assert r.status == "fail"
+        assert r.counterexamples == sorted(want, key=lambda c: c["set"])
+
+    def test_crlodd_lists_planted_rivals(self, monkeypatch, fresh_blocks):
+        # Raise {0, 2, 5} to d([6]) and {0, 1, 2, 3, 4, 6} past it: the
+        # block summaries flag blocks 5 and 6, and their re-sieve must list
+        # exactly these two rivals of [6].
+        limit = headstrong_count(7)
+        rivals = {0b100101: limit, 0b1011111: limit + 5}
+        block_counts = verify._block_counts
+
+        def planted(m, rooted=True):
+            counts = block_counts(m, rooted)
+            for mask, d in rivals.items():
+                if rooted and mask.bit_length() == m + 1:
+                    counts[(mask >> 1) & ((1 << m - 1) - 1)] = d
+            return counts
+
+        monkeypatch.setattr(verify, "_block_counts", planted)
+        r = run_target("crlodd", max_k=6, promotion_max_k=0)
+        assert r.status == "fail"
+        assert r.details == {"d_full_interval": limit}
+        assert r.counterexamples == [
+            {"set": "{0, 1, 2, 3, 4, 6}", "d": limit + 5, "limit": limit},
+            {"set": "{0, 2, 5}", "d": limit, "limit": limit},
+        ]
+
+    def test_later_targets_reuse_block_summaries(self, monkeypatch, fresh_blocks):
+        # crlodd sieves blocks 0..14; the table targets after it in the
+        # same process read their summaries and sieve no rooted block.
+        first = run_target("crlodd").to_dict()["meta"]
+        assert first["blocks_sieved"] == 15
+        sieved = []
+        block_counts = verify._block_counts
+
+        def spy(m, rooted=True):
+            sieved.append((m, rooted))
+            return block_counts(m, rooted)
+
+        monkeypatch.setattr(verify, "_block_counts", spy)
+        for name in ("crleven", "odd2", "pi2", "crlodd"):
+            meta = run_target(name).to_dict()["meta"]
+            assert meta["blocks_sieved"] == 0, name
+            assert meta["blocks_reused"] > 0, name
+        assert sieved == []
+        # L15 streams whole blocks, rooted and all-pairs, every time.
+        meta = run_target("L15", max_k=5).to_dict()["meta"]
+        assert sorted(sieved) == [(m, r) for m in range(6) for r in (False, True)]
+        assert meta["blocks_sieved"] == 12
+
+    def test_meta_reports_blocks_and_memory(self, fresh_blocks):
+        # In this order, crlodd sieves the rooted blocks 0..3 and the
+        # later table targets reuse them; L15 sieves 0..3 in both modes.
+        sieved = {"crlodd": 4, "crleven": 0, "L15": 8, "bases": 0, "odd2": 0, "pi2": 0}
+        for name in _ALL_TARGETS:
+            meta = run_target(name, max_k=3).to_dict()["meta"]
+            assert meta["peak_rss_mb"] > 0
+            assert meta["blocks_sieved"] == sieved[name], name
 
     def test_bases_formula_knobs_removed(self):
         with pytest.raises(PreconditionError):
