@@ -190,9 +190,7 @@ def identity(base: int) -> LunarNumber:
 
 def beta(a: FiniteSet) -> LunarNumber:
     """The binary number whose digit i is 1 iff i is in a."""
-    if a.is_empty:
-        return LunarNumber(2)
-    return LunarNumber(2, (1 if i in a else 0 for i in range(a.max + 1)))
+    return LunarNumber(2) if a.is_empty else _binary_from_mask(a.mask)
 
 
 def beta_inv(x: LunarNumber) -> FiniteSet:

@@ -8,11 +8,19 @@ as base-(b+1) digits turns addition into lunar multiplication.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Mapping
 
 from .errors import ParseError, PreconditionError
 from .lunar import LunarNumber, lunar_divides, lunar_divisors
-from .sets import EMPTY, FiniteSet, sumset
+from .sets import EMPTY, FiniteSet, _divisor_masks, sumset
+
+# SetArray.parse's language: one coordinate "{...}" holds no brace, and a
+# body is a parenthesized, comma-separated list of coordinates.
+_COORDINATE = re.compile(r"\{([^{}]*)\}")
+_SETARRAY_BODY = re.compile(
+    rf"\(\s*{_COORDINATE.pattern}(?:\s*,\s*{_COORDINATE.pattern})*\s*\)"
+)
 
 
 class SetArray:
@@ -84,34 +92,18 @@ class SetArray:
             height = int(height_text)
         except ValueError:
             raise ParseError(f"invalid height {height_text!r}") from None
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ParseError(f"set-array body must be parenthesized: {text!r}")
-        inner = body[1:-1]
+        if not _SETARRAY_BODY.fullmatch(body):
+            raise ParseError(f"malformed set-array body {body!r}")
         coords = []
-        depth = 0
-        chunk = ""
-        for ch in inner + ",":
-            if ch == "," and depth == 0:
-                chunk = chunk.strip()
-                if not (chunk.startswith("{") and chunk.endswith("}")):
-                    raise ParseError(f"malformed coordinate {chunk!r}")
-                elems = chunk[1:-1].strip()
-                if elems:
-                    try:
-                        coords.append(FiniteSet(int(e) for e in elems.split(",")))
-                    except ValueError:
-                        raise ParseError(
-                            f"malformed coordinate {chunk!r}"
-                        ) from None
-                else:
-                    coords.append(EMPTY)
-                chunk = ""
+        for elems in _COORDINATE.findall(body):
+            if not elems.strip():
+                coords.append(EMPTY)
                 continue
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-            chunk += ch
+            try:
+                coords.append(FiniteSet(int(e) for e in elems.split(",")))
+            except ValueError:
+                coordinate = "{" + elems + "}"
+                raise ParseError(f"malformed coordinate {coordinate!r}") from None
         if len(coords) != height:
             raise ParseError(
                 f"height annotation {height} does not match "
@@ -204,8 +196,6 @@ def setarray_divisor_count_formula(a: FiniteSet, b: int) -> int:
     Each divisor B of a contributes one divisor per descending chain below
     it, i.e. b ** |B| in total.
     """
-    from .sets import divisors
-
     if b < 1:
         raise PreconditionError("height must be >= 1")
-    return sum(b ** len(d) for d in divisors(a))
+    return sum(b ** mask.bit_count() for mask in _divisor_masks(a))

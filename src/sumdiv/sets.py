@@ -81,6 +81,11 @@ class FiniteSet:
     def shifted(self, j: int) -> "FiniteSet":
         """The translate self + {j}; j may be negative if min(self) >= -j."""
         if j >= 0:
+            if self._mask and self.max + j > ELEMENT_BOUND:  # before the shift
+                raise CapacityError(
+                    f"element {self.max + j} exceeds the element bound "
+                    f"{ELEMENT_BOUND}"
+                )
             return FiniteSet.from_mask(self._mask << j)
         if self._mask and self.min < -j:
             raise ValueError(f"cannot shift {self} by {j}")
@@ -151,6 +156,8 @@ def interval(k: int) -> FiniteSet:
     """The full interval {0, 1, ..., k}."""
     if k < 0:
         raise ValueError("interval endpoint must be nonnegative")
+    if k > ELEMENT_BOUND:  # before 1 << (k + 1) allocates
+        raise CapacityError(f"element {k} exceeds the element bound {ELEMENT_BOUND}")
     return FiniteSet.from_mask((1 << (k + 1)) - 1)
 
 
@@ -158,7 +165,7 @@ def interval_positive(k: int) -> FiniteSet:
     """The interval {1, ..., k} (the full interval with 0 removed)."""
     if k < 1:
         raise ValueError("positive interval needs k >= 1")
-    return FiniteSet.from_mask((1 << (k + 1)) - 2)
+    return FiniteSet.from_mask(interval(k).mask ^ 1)
 
 
 def _require_nonempty(*sets: FiniteSet) -> None:
@@ -170,10 +177,7 @@ def _require_nonempty(*sets: FiniteSet) -> None:
 def sumset(a: FiniteSet, b: FiniteSet) -> FiniteSet:
     """The sumset a + b = {x + y : x in a, y in b}."""
     _require_nonempty(a, b)
-    mask = 0
-    for e in b:
-        mask |= a.mask << e
-    return FiniteSet.from_mask(mask)
+    return FiniteSet.from_mask(_sum_masks(a.mask, b.mask))
 
 
 def _sum_masks(amask: int, bmask: int) -> int:

@@ -8,6 +8,8 @@ range, so each process reduces a rooted block once to the summary that
 crlodd, crleven, odd2 and pi2 read: its top and second d with the sets
 reaching them, d([m]) and its count of d = 2.  crlodd sieves a block again
 only to list a rival of [k], and its promotion phase reads the same pairs.
+The pairs B = {0} and B = A, which every set has, are never sieved: the
+counts add them as 2 and the promotion phase writes their families down.
 L15 streams whole blocks, and checks the rooted ones, through the
 translation lemma, against the blocks sieved over all pairs.  bases runs a
 pure-Python pair sieve over multisets packed as chains of sets, so it
@@ -79,33 +81,27 @@ class VerificationReport:
 _CHUNK = 1 << 20
 
 
-def _block_sums(m: int, rooted: bool = True, every: bool = False):
-    """The pairs (B, C) of the divisor sieve with max B + max C = m, one
-    b = max B at a time: yields b and the int32 rows[i, j] = B_i + C_j,
-    which all lie in [2^m, 2^(m+1)).  Rooted, B_i = {0, b} | (i << 1) and
-    C_j = {0, m - b} | (j << 1) run over the 0-rooted sets; otherwise
-    B_i = {b} | i and C_j = {m - b} | j.
-
-    b runs over 1..m-1, or over 0..m with every.  b = 0 and b = m are the
-    pairs B = {0} and B = A, which add 1 each to every set.  Rooted, their
-    rows hold 2^(m-1) pairs, against 2^(m-2) for every other b; otherwise
-    each b holds 2^m.  Masks are int32, so m <= 30.
+def _block_sums(m: int, rooted: bool = True):
+    """The pairs (B, C) of the divisor sieve with max B + max C = m and
+    0 < max B < m, one b = max B at a time: yields b and the int32
+    rows[i, j] = B_i + C_j, which all lie in [2^m, 2^(m+1)).  Rooted,
+    B_i = {0, b} | (i << 1) and C_j = {0, m - b} | (j << 1) run over the
+    0-rooted sets, 2^(b-1) by 2^(m-b-1); otherwise B_i = {b} | i and
+    C_j = {m - b} | j, 2^b by 2^(m-b).  The pairs B = {0} and B = A,
+    which every set has, are left to the callers.  Masks are int32, so
+    m <= 30.
     """
     import numpy as np
 
     step, first = (2, 1) if rooted else (1, 0)
-
-    def count(t):  # how many sets have max t
-        return 1 << max(t - first, 0)
-
-    for b in range(m + 1) if every else range(1, m):
-        rows = np.empty((count(b), count(m - b)), dtype=np.int32)
+    for b in range(1, m):
+        rows = np.empty((1 << (b - first), 1 << (m - b - first)), dtype=np.int32)
         # X + Y for the factor Y with the smaller max t: X shifted by t,
         # or'ed with X shifted by each element e of Y below t, each e
         # doubling the filled part of Y's axis.  X's axis is filled
         # _CHUNK sets at a time, so that no list of all of X is held.
         out, t = (rows, b) if b <= m - b else (rows.T, m - b)
-        x0, xs = 1 << (m - t) | (first if m > t else 0), count(m - t)  # first X, how many
+        x0, xs = 1 << (m - t) | first, 1 << (m - t - first)  # first X, how many
         for j in range(0, xs, _CHUNK):
             stop = x0 + step * min(j + _CHUNK, xs)
             x = np.arange(x0 + step * j, stop, step, dtype=np.int32)
@@ -205,22 +201,25 @@ def _promotion_members(max_k: int):
     without repeats.  A pair adds b when max b <= max c, and
     promote(a, k, b, max c) when max b >= max c: in bits,
     b | (missing & [0, max c)) | (missing >> max c), missing = [k] - a.
-    Only block m's pairs are held.  Keys pack the three odd masks without
-    bit 0 in 3k bits: max_k <= 21.
+    The pairs B = {0} and B = A, which _block_sums leaves out, add the
+    members {0} and promote(a, k, a, 0) = [k] (at m = 0 they are one pair,
+    adding both).  Only block m's pairs are held.  Keys pack the three odd
+    masks without bit 0 in 3k bits: max_k <= 21.
     """
     import numpy as np
 
     for m in range(max_k, -1, -1):
+        odd = 1 | np.arange(1 << max(m - 1, 0), dtype=np.int64) << 1
+        block = odd | 1 << m  # every a with max(a) = m
         pairs = [
-            (top, rows, 1 | 1 << top | np.arange(len(rows), dtype=np.int64)[:, None] << 1)
-            for top, rows in _block_sums(m, every=True)
+            (top, rows.astype(np.int64), odd[: len(rows), None] | 1 << top)
+            for top, rows in _block_sums(m)
         ]
         for k in range(max(m, 1), max_k + 1):
             full = (2 << k) - 1
-            keys = []
-            for top, rows, b in pairs:  # top = max B, low = max C
+            keys = [_member_keys(k, block, 1, 1), _member_keys(k, block, full, block)]
+            for top, a, b in pairs:  # top = max B, low = max C
                 low = m - top
-                a = rows.astype(np.int64)
                 if top <= low:
                     keys.append(_member_keys(k, a, b, b))
                 if top >= low:

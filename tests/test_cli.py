@@ -5,6 +5,10 @@ stability of JSON reports.
 import argparse
 import itertools
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -295,6 +299,38 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "[10000000000]"),
+            ("sum", "[10000000000+]", "0"),
+            ("beta", "[10000000000]"),
+            ("promote", "0", "10000000000", "0", "0"),
+            ("count", "[64]"),
+        ],
+    )
+    def test_interval_past_element_bound_is_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+    def test_interval_past_element_bound_allocates_nothing(self):
+        # Under 512 MiB of address space, building [10^12] (a 125 GB mask)
+        # would end in a MemoryError traceback; the bound is checked first.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumdiv.cli", "count", "[1000000000000]"],
+            capture_output=True,
+            text=True,
+            preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: element 1000000000000 exceeds the element bound 63\n"
+
     def test_deep_headstrong_count(self, capsys):
         code, out, _ = run(capsys, "compositions", "3000", "--count")
         assert code == 0
@@ -437,12 +473,19 @@ class TestStreamedListings:
 # Fuzzing: every subcommand, small bounded arguments, no escaping exception.
 
 _small = st.integers(min_value=-2, max_value=9).map(str)
+# Interval endpoints: small ones, either side of the element bound 63, and
+# ones whose mask would take gigabytes if it were built before the check.
+_endpoint = st.one_of(
+    st.integers(min_value=-1, max_value=8),
+    st.sampled_from([63, 64]),
+    st.integers(min_value=65, max_value=10**12),
+)
 _set_literal = st.one_of(
     st.lists(st.integers(min_value=-1, max_value=10), max_size=5).map(
         lambda xs: ",".join(map(str, xs))
     ),
-    st.integers(min_value=-1, max_value=8).map(lambda k: f"[{k}]"),
-    st.integers(min_value=-1, max_value=8).map(lambda k: f"[{k}+]"),
+    _endpoint.map(lambda k: f"[{k}]"),
+    _endpoint.map(lambda k: f"[{k}+]"),
     st.sampled_from(["", "[", "[x]", "1,,a", "0;1"]),
 )
 _lunar_literal = st.builds(
@@ -473,7 +516,7 @@ _argv = st.one_of(
     st.builds(lambda n: ["beta", n, "--inverse"], _lunar_literal),
     st.builds(
         lambda a, k, f, m: ["promote", a, k, f, m],
-        _set_literal, _small, _set_literal, _small,
+        _set_literal, _small | _endpoint.map(str), _set_literal, _small,
     ),
     st.builds(
         lambda n, extra: ["compositions", n] + extra,
@@ -503,8 +546,13 @@ _argv = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(argv=_argv)
 def test_fuzz_exit_codes(argv):
+    # count and divisors of [63] take 12 s to reach the real node budget; a
+    # small one keeps each case fast.  The real budget's bound is tested on
+    # fixed inputs above.
     try:
-        code = main(argv)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sets, "NODE_BUDGET", 20000)
+            code = main(argv)
     except SystemExit as exc:  # argparse usage errors
         code = exc.code
     assert code in (0, 1, 2, 3), argv

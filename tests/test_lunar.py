@@ -192,6 +192,7 @@ class TestBeta:
         assert beta(FiniteSet((0, 2, 3))) == ln("1101@2")
         assert beta(FiniteSet((0,))) == ln("1@2")
         assert beta(FiniteSet()).is_zero
+        assert beta(FiniteSet((0, 9, 63))) == ln("1" + "0" * 53 + "1" + "0" * 8 + "1@2")
 
     @given(binary_sets)
     def test_round_trip(self, a):

@@ -78,6 +78,41 @@ class TestSetArray:
         with pytest.raises(ParseError):
             SetArray.parse("({0,x})@1")
 
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("( {0,1} , {0} )@2", "({0,1},{0})@2"),
+            ("({0},{})@2", "({0},{})@2"),
+            ("({ 3 }, { })@2", "({3},{})@2"),
+            ("(\t{0}\n)@1", "({0})@1"),
+        ],
+    )
+    def test_parse_accepts(self, text, want):
+        assert str(SetArray.parse(text)) == want
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "({0}{1})@2",
+            "({0},)@2",
+            "()@0",
+            "({0,})@1",
+            "({0},{0}@2",
+            "({0},{1}})@2",
+            "({{0}})@1",
+            "({-1})@1",
+            "{0}@1",
+            # Unbalanced braces: the whole body must parse, so no trailing
+            # chunk is dropped and no garbage reads as zero coordinates.
+            "({},}1)@1",
+            "({0},{1(3 )@1",
+            "({)@0",
+        ],
+    )
+    def test_parse_rejects(self, text):
+        with pytest.raises(ParseError):
+            SetArray.parse(text)
+
     @given(set_arrays())
     def test_str_parse_round_trip(self, x):
         assert SetArray.parse(str(x)) == x

@@ -101,6 +101,21 @@ class TestFiniteSet:
         with pytest.raises(ValueError):
             interval_positive(0)
 
+    def test_bound_checked_before_the_mask_is_built(self):
+        # A mask with bit 10^10 would take 1.25 GB; each check comes first.
+        assert interval(63).max == interval_positive(63).max == 63
+        assert fs(0).shifted(63) == fs(63)
+        assert FiniteSet().shifted(10**10) == FiniteSet()
+        for build in (
+            lambda: interval(10**10),
+            lambda: interval_positive(10**10),
+            lambda: fs(0).shifted(10**10),
+            lambda: interval(64),
+            lambda: fs(1).shifted(63),
+        ):
+            with pytest.raises(CapacityError, match="exceeds the element bound 63"):
+                build()
+
 
 class TestSumset:
     def test_example(self):

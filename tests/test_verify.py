@@ -33,6 +33,7 @@ from sumdiv import (
     verify_promotion_disjointness,
 )
 from sumdiv.cli import build_parser, main
+from sumdiv.sets import _sum_masks
 from sumdiv.verify import (
     CONJECTURE_TARGETS,
     THEOREM_TARGETS,
@@ -149,6 +150,24 @@ class TestCounters:
         # the same.
         monkeypatch.setattr(verify, "_CHUNK", 24)
         _blocks_agree_with_oracle(11)
+
+    @pytest.mark.parametrize("rooted", [True, False])
+    @pytest.mark.parametrize("m", range(11))
+    def test_block_sums_yield_the_inner_pairs(self, m, rooted):
+        # b = max B runs over 1..m-1; the pairs B = {0} and B = A are left
+        # to the callers.  Row i, column j is B_i + C_j, the sets of each
+        # axis in mask order.
+        first = 1 if rooted else 0
+        seen = []
+        for b, rows in verify._block_sums(m, rooted):
+            seen.append(b)
+            assert rows.dtype == np.int32
+            assert rows.shape == (1 << (b - first), 1 << (m - b - first)), b
+            assert rows.min() >= 1 << m and rows.max() < 2 << m, b
+            if m <= 7:
+                bs, cs = (range(1 << t | first, 2 << t, 1 + first) for t in (b, m - b))
+                assert rows.tolist() == [[_sum_masks(x, y) for y in cs] for x in bs], b
+        assert seen == list(range(1, m))
 
     def test_general_table_matches_library(self):
         # The all-pairs blocks hold d of every nonempty set.
