@@ -7,9 +7,10 @@ All counts are exact Python integers; the F sequences grow exponentially.
 
 from __future__ import annotations
 
-import functools
+import threading
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import BudgetError, PreconditionError
@@ -17,15 +18,14 @@ from .sets import FiniteSet, divides, interval
 
 # Headstrong counts roughly double per unit of n; enumeration stops here.
 ENUMERATION_BOUND = 26
-# Composition counts are filled for totals below this bound, so
-# headstrong_count(n) and f_table(rows, cols) take n, cols <= COUNT_BOUND.
-# A fill up to total t holds about t^2 / 2 bits; headstrong_count does n.
+# Composition counts take totals below this bound: n, cols <= COUNT_BOUND in
+# headstrong_count(n) and f_table(rows, cols), whose fill up to total t holds
+# about t^2 / 2 bits, and n < COUNT_BOUND in bounded_comp_count (0.6 s).
 COUNT_BOUND = 5000
-# headstrong_by_parts fills H(n', m) for n' <= n by a cubic recurrence over
-# bounded-part counts: cold, 0.5 s at n = 200, 1.5 s at 250 and 3.2 s at
-# 300 on 2 cores.  It and h_table take n, rows <= TRIANGLE_BOUND, which also
-# keeps its recursion (under 400 frames at the bound) within the
-# interpreter's default limit of 1000.
+# The H triangle up to row n costs about n^3 / 12 products of big integers:
+# cold, h_table takes 0.05 s at n = 150, 0.23-0.25 s at 250 and 0.33-0.48 s
+# at 300, each in a fresh process on 2 cores.  headstrong_by_parts,
+# weighted_row_sum and h_table take n, rows <= TRIANGLE_BOUND.
 TRIANGLE_BOUND = 250
 # f_table(rows, cols) takes rows * cols <= CELL_BOUND.  Row n holds numbers
 # of about cols - n bits, so the widest tables are the largest: 20 x 5000
@@ -58,17 +58,21 @@ class Composition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
+def _check_total(total: int) -> None:
+    if total >= COUNT_BOUND:
+        raise BudgetError(
+            f"composition counts up to {total} exceed the budget "
+            f"(totals < {COUNT_BOUND})"
+        )
+
+
 def _bounded_counts(cap: int, total: int) -> list[int]:
     """Compositions of j with every part <= cap, for j = 0, ..., total.
 
     Entry j is the sum of the cap entries before it, kept as a sliding
     window.  Entries have up to about total bits, so total is bounded.
     """
-    if total >= COUNT_BOUND:
-        raise BudgetError(
-            f"composition counts up to {total} exceed the budget "
-            f"(totals < {COUNT_BOUND})"
-        )
+    _check_total(total)
     counts = [1]
     window = 1  # counts[j - cap] + ... + counts[j - 1]
     for j in range(1, total + 1):
@@ -98,44 +102,52 @@ def headstrong_count(n: int) -> int:
     return sum(_bounded_counts(m, n - m)[-1] for m in range(1, n + 1))
 
 
-@functools.lru_cache(maxsize=None)
-def headstrong_by_parts(n: int, m: int) -> int:
-    """H(n, m), the number of headstrong m-compositions of n.
+# The rows of the H triangle filled so far, never handed out: H(n, m) is _H[n - 1][m - 1].
+# Threads fill it one at a time, so that no row is appended twice.
+_H = [[1]]
+_H_LOCK = threading.Lock()
 
-    H(n, m) = sum_j H(n-m, j) * C(m-1, j-1) for n > m > 1, with the base
-    cases 0 (m > n) and 1 (m = n or m = 1).
-    """
-    if n < 1 or m < 1:
-        raise PreconditionError("headstrong_by_parts needs n, m >= 1")
+
+def _h_rows(n: int) -> list[list[int]]:
+    """_H with at least n rows.  Row r > 1 is 1, H(r, m) for 1 < m < r,
+    then 1, where H(r, m) = sum_j H(r - m, j) * C(m - 1, j - 1), j <= m:
+    a filled row dotted with a row of Pascal's triangle."""
     if n > TRIANGLE_BOUND:
         raise BudgetError(
-            f"headstrong counts by parts for n = {n} exceed the budget "
+            f"the headstrong triangle up to n = {n} exceeds the budget "
             f"(n <= {TRIANGLE_BOUND})"
         )
-    if m > n:
-        return 0
-    if m == n or m == 1:
-        return 1
-    return sum(
-        headstrong_by_parts(n - m, j) * comb(m - 1, j - 1)
-        for j in range(1, n - m + 1)
-    )
+    with _H_LOCK:
+        if len(_H) < n:
+            pascal = [[comb(m, i) for i in range(m + 1)] for m in range(n)]
+            for r in range(len(_H) + 1, n + 1):
+                inner = (sum(map(mul, _H[r - m - 1], pascal[m - 1])) for m in range(2, r))
+                _H.append([1, *inner, 1])
+    return _H
+
+
+def headstrong_by_parts(n: int, m: int) -> int:
+    """H(n, m), the number of headstrong m-compositions of n."""
+    if n < 1 or m < 1:
+        raise PreconditionError("headstrong_by_parts needs n, m >= 1")
+    row = _h_rows(n)[n - 1]
+    return row[m - 1] if m <= n else 0
 
 
 def bounded_comp_count(n: int, m: int, s: int) -> int:
-    """C(n, m, s): m-compositions of n with every part in [1, s]."""
+    """C(n, m, s): m-compositions of n with every part in [1, s], by
+    inclusion-exclusion over the j parts forced above s: the sum of
+    (-1)^j C(m, j) C(n - j s - 1, m - 1).  BudgetError for n >= COUNT_BOUND,
+    unless n is outside [m, m s] and the count is 0."""
     if m < 1 or s < 1:
         raise PreconditionError("bounded_comp_count needs m, s >= 1")
     if n < m or n > m * s:
         return 0
-    row = [0] * (n + 1)
-    row[0] = 1
-    for _ in range(m):
-        new = [0] * (n + 1)
-        for t in range(1, n + 1):
-            new[t] = sum(row[t - p] for p in range(1, min(s, t) + 1))
-        row = new
-    return row[n]
+    _check_total(n)
+    return sum(
+        (-1) ** j * comb(m, j) * comb(n - j * s - 1, m - 1)
+        for j in range(min(m, (n - m) // s) + 1)
+    )
 
 
 def _bounded_parts(n: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -232,7 +244,7 @@ def weighted_row_sum(n: int, b: int) -> int:
     """sum over m of H(n, m) * b**m, exact."""
     if n < 1 or b < 2:
         raise PreconditionError("weighted_row_sum needs n >= 1 and b >= 2")
-    return sum(headstrong_by_parts(n, m) * b**m for m in range(1, n + 1))
+    return sum(h * b**m for m, h in enumerate(_h_rows(n)[n - 1], 1))
 
 
 def f_table(rows: int, cols: int) -> list[list[int]]:
@@ -253,15 +265,8 @@ def f_table(rows: int, cols: int) -> list[list[int]]:
 
 
 def h_table(rows: int) -> list[list[int]]:
-    """The headstrong triangle, row n holding H(n, 1) ... H(n, n)."""
+    """The headstrong triangle, row n holding H(n, 1) ... H(n, n); the rows
+    are copies, the caller's to change."""
     if rows < 1:
         raise PreconditionError("the H table needs rows >= 1")
-    if rows > TRIANGLE_BOUND:
-        raise BudgetError(
-            f"an H table of {rows} rows exceeds the budget "
-            f"(rows <= {TRIANGLE_BOUND})"
-        )
-    return [
-        [headstrong_by_parts(n, m) for m in range(1, n + 1)]
-        for n in range(1, rows + 1)
-    ]
+    return [row[:] for row in _h_rows(rows)[:rows]]

@@ -6,18 +6,9 @@ and the disjointness check behind the maximality of d([k]) on 0-rooted sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .errors import PreconditionError
-from .sets import (
-    FiniteSet,
-    _quotient_mask,
-    _sum_masks,
-    divides,
-    divisors,
-    interval,
-    sumset,
-)
+from .sets import FiniteSet, divides, divisors, interval, sumset
 
 
 @dataclass(frozen=True)
@@ -50,6 +41,13 @@ def _check_zero_rooted_in(a: FiniteSet, k: int) -> None:
         )
 
 
+def _promoted(b, missing, t):
+    """b with each s of missing added as s when s < t and as s - t
+    otherwise: the one promotion formula, on Python ints and on int64
+    arrays alike."""
+    return b | missing & ((1 << t) - 1) | missing >> t
+
+
 def promote(
     a: FiniteSet, k: int, base_factor: FiniteSet, other_max: int
 ) -> FiniteSet:
@@ -63,41 +61,9 @@ def promote(
     if other_max < 0:
         raise PreconditionError("other_max must be nonnegative")
     missing = interval(k).mask & ~a.mask
-    out = base_factor.mask
-    while missing:
-        low = missing & -missing
-        s = low.bit_length() - 1
-        if s < other_max:
-            out |= low
-        else:
-            out |= 1 << (s - other_max)
-        missing ^= low
+    # Past k every s is below other_max; the cap keeps 1 << t small.
+    out = _promoted(base_factor.mask, missing, min(other_max, k + 1))
     return FiniteSet.from_mask(out)
-
-
-def _iter_submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def cofactors(a: FiniteSet, b: FiniteSet) -> list[FiniteSet]:
-    """All C with b + C = a, by brute force over the maximal quotient; the
-    oracle of promoted_family's shortcut in the tests."""
-    if not divides(b, a):
-        raise PreconditionError(f"{b} does not divide {a}")
-    amask = a.mask
-    qmask = _quotient_mask(amask, b.mask)
-    out = []
-    for cmask in _iter_submasks(qmask):
-        if cmask and _sum_masks(b.mask, cmask) == amask:
-            out.append(FiniteSet.from_mask(cmask))
-    out.sort(key=lambda s: (len(s), s.elements))
-    return out
 
 
 def promoted_family(a: FiniteSet, k: int, b: FiniteSet) -> PromotedFamily:

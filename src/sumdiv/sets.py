@@ -23,6 +23,12 @@ ELEMENT_BOUND = 63
 NODE_BUDGET = 1 << 22
 
 
+def _past_bound(e: int) -> CapacityError:
+    """The error for an element e above ELEMENT_BOUND; callers test the
+    bound themselves, before they allocate."""
+    return CapacityError(f"element {e} exceeds the element bound {ELEMENT_BOUND}")
+
+
 class FiniteSet:
     """Immutable finite subset of N, canonical by element equality."""
 
@@ -35,9 +41,7 @@ class FiniteSet:
             if e < 0:
                 raise ValueError(f"set elements must be nonnegative, got {e}")
             if e > ELEMENT_BOUND:
-                raise CapacityError(
-                    f"element {e} exceeds the element bound {ELEMENT_BOUND}"
-                )
+                raise _past_bound(e)
             mask |= 1 << e
         self._mask = mask
 
@@ -46,10 +50,7 @@ class FiniteSet:
         if mask < 0:
             raise ValueError("mask must be nonnegative")
         if mask.bit_length() - 1 > ELEMENT_BOUND:
-            raise CapacityError(
-                f"element {mask.bit_length() - 1} exceeds the element bound "
-                f"{ELEMENT_BOUND}"
-            )
+            raise _past_bound(mask.bit_length() - 1)
         out = object.__new__(cls)
         out._mask = mask
         return out
@@ -82,10 +83,7 @@ class FiniteSet:
         """The translate self + {j}; j may be negative if min(self) >= -j."""
         if j >= 0:
             if self._mask and self.max + j > ELEMENT_BOUND:  # before the shift
-                raise CapacityError(
-                    f"element {self.max + j} exceeds the element bound "
-                    f"{ELEMENT_BOUND}"
-                )
+                raise _past_bound(self.max + j)
             return FiniteSet.from_mask(self._mask << j)
         if self._mask and self.min < -j:
             raise ValueError(f"cannot shift {self} by {j}")
@@ -157,7 +155,7 @@ def interval(k: int) -> FiniteSet:
     if k < 0:
         raise ValueError("interval endpoint must be nonnegative")
     if k > ELEMENT_BOUND:  # before 1 << (k + 1) allocates
-        raise CapacityError(f"element {k} exceeds the element bound {ELEMENT_BOUND}")
+        raise _past_bound(k)
     return FiniteSet.from_mask((1 << (k + 1)) - 1)
 
 

@@ -199,8 +199,8 @@ def _promotion_members(max_k: int):
     m descending from max_k and, for each m, k ascending from m: one entry
     per member of the family of divisor b of a, sorted by (a, member, b)
     without repeats.  A pair adds b when max b <= max c, and
-    promote(a, k, b, max c) when max b >= max c: in bits,
-    b | (missing & [0, max c)) | (missing >> max c), missing = [k] - a.
+    promote(a, k, b, max c) when max b >= max c, through promote's own
+    formula, promotion._promoted.
     The pairs B = {0} and B = A, which _block_sums leaves out, add the
     members {0} and promote(a, k, a, 0) = [k] (at m = 0 they are one pair,
     adding both).  Only block m's pairs are held.  Keys pack the three odd
@@ -223,8 +223,7 @@ def _promotion_members(max_k: int):
                 if top <= low:
                     keys.append(_member_keys(k, a, b, b))
                 if top >= low:
-                    missing = full & ~a
-                    promoted = b | missing & ((1 << low) - 1) | missing >> low
+                    promoted = promotion._promoted(b, full & ~a, low)
                     keys.append(_member_keys(k, a, promoted, b))
             keys = np.concatenate(keys)
             keys.sort()
@@ -511,6 +510,18 @@ _TARGETS = {
 }
 
 
+def _peak_rss_kib() -> int:
+    """This process's peak RSS in KiB: VmHWM, which exec resets, or where
+    there is no /proc ru_maxrss, which on Linux carries a parent's peak."""
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        import resource
+
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def run_target(name: str, **params) -> VerificationReport:
     """Run one verification target by name, timing it.  Parameters left out
     or None take their defaults, and all are range-checked before any work
@@ -537,11 +548,8 @@ def run_target(name: str, **params) -> VerificationReport:
     start = time.perf_counter()
     bad, details = target.runner(**kwargs)
     elapsed = time.perf_counter() - start
-    import resource
-
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     meta = {
-        "peak_rss_mb": round(peak_kib / 1024, 1),  # this process's peak so far
+        "peak_rss_mb": round(_peak_rss_kib() / 1024, 1),  # this process's peak so far
         "blocks_sieved": _SIEVED[0] - sieved,
         "blocks_reused": _block_summary.cache_info().hits - reused,
     }

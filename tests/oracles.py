@@ -9,14 +9,23 @@ the pruned divisor search.  divisor_table sieves every factor pair of a
 whole range at once, checked against direct_divisor_count and
 naive_divisors, and is the oracle of the block sieve.  count_irreducible
 runs the library's irreducibility test on every set, and is pi2's oracle.
+cofactors lists every C with b + C = a from the library's maximal quotient,
+and is the oracle of promoted_family's shortcut.
 """
 
 from itertools import chain, combinations, product
 
 import numpy as np
 
-from sumdiv.promotion import _iter_submasks
-from sumdiv.sets import _core_is_irreducible, _divides_mask
+from sumdiv.errors import PreconditionError
+from sumdiv.sets import (
+    FiniteSet,
+    _core_is_irreducible,
+    _divides_mask,
+    _quotient_mask,
+    _sum_masks,
+    divides,
+)
 
 
 def naive_sumset(a: frozenset, b: frozenset) -> frozenset:
@@ -99,6 +108,31 @@ def count_irreducible(k: int) -> int:
         if mask.bit_count() >= 2 and _core_is_irreducible(core):
             total += 1
     return total
+
+
+def _iter_submasks(mask: int):
+    """All submasks of mask, including 0 and mask itself."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def cofactors(a: FiniteSet, b: FiniteSet) -> list:
+    """All C with b + C = a, by brute force over the maximal quotient,
+    ordered by (cardinality, elements)."""
+    if not divides(b, a):
+        raise PreconditionError(f"{b} does not divide {a}")
+    amask = a.mask
+    qmask = _quotient_mask(amask, b.mask)
+    out = []
+    for cmask in _iter_submasks(qmask):
+        if cmask and _sum_masks(b.mask, cmask) == amask:
+            out.append(FiniteSet.from_mask(cmask))
+    out.sort(key=lambda s: (len(s), s.elements))
+    return out
 
 
 def walk_divisor_masks(core: int) -> list:

@@ -2,6 +2,9 @@
 divisors, and difference-table reconstruction.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +30,7 @@ from sumdiv import (
     sumset,
     weighted_row_sum,
 )
+from sumdiv import compositions
 from sumdiv.compositions import CELL_BOUND, COUNT_BOUND, TRIANGLE_BOUND
 
 from .oracles import naive_headstrong
@@ -167,17 +171,43 @@ class TestDeepCounts:
         with pytest.raises(PreconditionError):
             h_table(0)
 
-    def test_triangle_bound(self):
-        # H(n, 2) = floor(n / 2); cold, it fills the triangle below n by
-        # recursion, which must stay within the interpreter's limit.
-        headstrong_by_parts.cache_clear()
+    def test_triangle_bound(self, monkeypatch):
+        # Past the bound every reader of the triangle refuses before any
+        # row is filled.
+        monkeypatch.setattr(compositions, "_H", [[1]])
+        n = TRIANGLE_BOUND + 1
+        calls = ((h_table, (n,)), (headstrong_by_parts, (n, 2)), (weighted_row_sum, (n, 2)))
+        for call, args in calls:
+            with pytest.raises(BudgetError):
+                call(*args)
+            assert compositions._H == [[1]]
+        # H(n, 2) = floor(n / 2); cold, every row up to the bound is filled.
         assert headstrong_by_parts(TRIANGLE_BOUND, 2) == TRIANGLE_BOUND // 2
-        with pytest.raises(BudgetError):
-            headstrong_by_parts(TRIANGLE_BOUND + 1, 2)
-        headstrong_by_parts.cache_clear()
-        with pytest.raises(BudgetError):
-            h_table(TRIANGLE_BOUND + 1)
-        assert headstrong_by_parts.cache_info().currsize == 0  # no work done
+        assert len(compositions._H) == TRIANGLE_BOUND
+
+    def test_threads_fill_the_triangle_once(self, monkeypatch):
+        # Threads racing to fill a cold triangle append each row once.
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                monkeypatch.setattr(compositions, "_H", [[1]])
+                with ThreadPoolExecutor(8) as pool:
+                    sizes = [40 + i % 4 * 10 for i in range(16)]
+                    tables = list(pool.map(h_table, sizes, timeout=60))
+                assert [len(row) for row in compositions._H] == list(range(1, 71))
+                assert all(t == tables[-1][: len(t)] for t in tables)
+                assert tables[-1][:10] == H_TRIANGLE_10
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_table_rows_are_copies(self):
+        table = h_table(5)
+        table[4][1] = -1
+        table[0].append(7)
+        table.append([])
+        assert h_table(5) == H_TRIANGLE_10[:5]
+        assert headstrong_by_parts(5, 2) == 2
 
     def test_cell_bound(self):
         with pytest.raises(BudgetError):
@@ -198,6 +228,25 @@ class TestBoundedCounts:
             )
 
         assert bounded_comp_count(n, m, s) == comps(n, m)
+
+    def test_matches_part_by_part_fill(self):
+        # row[t]: compositions of t into m parts in [1, s], one part at a time.
+        for s in range(1, 10):
+            row = [1] + [0] * 60
+            for m in range(1, 13):
+                row = [0] + [
+                    sum(row[t - p] for p in range(1, min(s, t) + 1))
+                    for t in range(1, 61)
+                ]
+                assert [bounded_comp_count(n, m, s) for n in range(61)] == row
+
+    def test_budget(self):
+        with pytest.raises(BudgetError):
+            bounded_comp_count(COUNT_BOUND, 2, COUNT_BOUND)
+        assert bounded_comp_count(COUNT_BOUND - 1, 2, COUNT_BOUND) == COUNT_BOUND - 2
+        # Outside [m, m s] the count is 0 whatever n is.
+        assert bounded_comp_count(10**12, 5, 2) == 0
+        assert bounded_comp_count(-(10**12), 5, 2) == 0
 
     def test_headstrong_decomposition(self):
         # H(n, m) splits by leading part: sum over s of C(n-s, m-1, s).

@@ -10,7 +10,6 @@ from sumdiv import (
     FiniteSet,
     Factorization,
     PreconditionError,
-    cofactors,
     divides,
     divisors,
     divisor_count,
@@ -21,6 +20,8 @@ from sumdiv import (
     verify_promotion_disjointness,
     witness_factor,
 )
+
+from .oracles import cofactors
 
 
 def fs(*elems) -> FiniteSet:
@@ -80,6 +81,20 @@ class TestPromote:
                 if b.max >= c.max:
                     r = promote(a, 6, b, c.max)
                     assert sumset(c, r) == interval(6)
+
+    def test_matches_element_loop(self):
+        # The definition, one missing element at a time, for every 0-rooted
+        # a and b within [k], k <= 5; an other_max past k keeps every
+        # element, and 10^12 must not build a 10^12-bit mask.
+        for k in range(6):
+            for amask in range(1, 2 << k, 2):
+                a = FiniteSet.from_mask(amask)
+                missing = [s for s in range(k + 1) if s not in a]
+                for bmask in range(1, 2 << k, 2):
+                    b = FiniteSet.from_mask(bmask)
+                    for t in (*range(k + 2), 10**12):
+                        want = fs(*b, *(s if s < t else s - t for s in missing))
+                        assert promote(a, k, b, t) == want
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):

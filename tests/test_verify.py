@@ -8,6 +8,7 @@ divisor lists.
 import argparse
 import inspect
 import itertools
+import json
 import subprocess
 import sys
 from collections import Counter
@@ -541,3 +542,25 @@ def test_import_does_not_load_numpy():
             timeout=60,
         )
         assert out.stderr.strip() == "False", argv
+
+
+def test_peak_rss_is_the_process_own():
+    # A parent holding 200 MB starts verify: the child reports its own peak,
+    # not the parent's, which ru_maxrss carries over exec on Linux.
+    src = str(Path(sumdiv.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "sumdiv.cli", "verify", "crleven", "--max-k", "3", "--json"]
+    code = (
+        "import subprocess, sys\n"
+        "held = b'x' * (200 << 20)\n"
+        f"out = subprocess.run({argv!r}, capture_output=True, text=True, check=True)\n"
+        "print(out.stdout)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert 0 < json.loads(out.stdout)["meta"]["peak_rss_mb"] < 100
