@@ -18,6 +18,7 @@ from .errors import DomainError, ParseError
 from .sets import (
     FiniteSet,
     _elements_text,
+    _natural,
     divisor_count,
     divisors,
     interval,
@@ -40,17 +41,12 @@ def parse_set(text: str) -> FiniteSet:
         plus = body.endswith("+")
         if plus:
             body = body[:-1]
-        try:
-            k = int(body)
-        except ValueError:
-            raise ParseError(f"invalid interval literal {text!r}") from None
-        if k < 0 or (plus and k < 1):
+        k = _natural(body, "interval endpoint")
+        if plus and k < 1:
             raise ParseError(f"invalid interval endpoint in {text!r}")
         return interval_positive(k) if plus else interval(k)
-    try:
-        return FiniteSet(int(p) for p in text.split(",") if p.strip() != "")
-    except ValueError:
-        raise ParseError(f"invalid set literal {text!r}") from None
+    parts = (p for p in text.split(",") if p.strip() != "")
+    return FiniteSet(_natural(p, "set element") for p in parts)
 
 
 def _emit(args, plain: str, payload) -> None:
@@ -209,6 +205,8 @@ def format_table(table: list[list[int]], fmt: str) -> str:
 
 
 def _cmd_table(args) -> int:
+    if args.kind == "H" and args.cols is not None:
+        args.usage_error("--cols applies to the F table only")  # exits 2
     if args.kind == "F":
         cols = args.cols if args.cols is not None else args.rows
         table = compositions.f_table(args.rows, cols)
@@ -309,10 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compositions", help="headstrong compositions of n")
     p.add_argument("n", type=int)
-    p.add_argument("--parts", type=int, default=None,
-                   help="count only those with exactly this many parts")
-    p.add_argument("--count", action="store_true",
-                   help="print the total count instead of the list")
+    counts = p.add_mutually_exclusive_group()
+    counts.add_argument("--parts", type=int, default=None,
+                        help="count only those with exactly this many parts")
+    counts.add_argument("--count", action="store_true",
+                        help="print the total count instead of the list")
     add_json(p)
     p.set_defaults(handler=_cmd_compositions)
 
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, default=None,
                    help="columns for the F table (default: rows)")
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    p.set_defaults(handler=_cmd_table)
+    p.set_defaults(handler=_cmd_table, usage_error=p.error)
 
     p = sub.add_parser("verify", help="run a verification target")
     p.add_argument(

@@ -3,7 +3,8 @@
 Digits are kept least-significant first so the product digit j is the
 max over i + k = j of min(x_i, y_k), mirroring an ordinary convolution
 index.  Display order is most-significant first with an explicit base
-annotation, e.g. "12468@10".
+annotation, e.g. "12468@10"; above base 10 the digits are separated by
+colons, e.g. "10:0@11".  Text is parsed in bases up to 10.
 
 Base-2 divisor lists are the sumset divisors of beta_inv(n), so they
 run on the pruned set search of sumdiv.sets, under its node budget and
@@ -23,7 +24,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .sets import FiniteSet, _divisor_masks
+from .sets import FiniteSet, _divisor_masks, _natural
 
 # lunar_mul forms len(x) * len(y) digit products, about 80 ns each in pure
 # Python (1.26 s at 4000 x 4000 digits); past this many, about 20 s, it
@@ -81,14 +82,9 @@ class LunarNumber:
         body, sep, base_text = text.partition("@")
         if not sep:
             raise ParseError(f"missing '@base' annotation in {text!r}")
-        try:
-            # int() also takes signs, spaces, underscores and non-ASCII
-            # digits, and refuses over 4300 digits.
-            if not (base_text.isascii() and base_text.isdigit()):
-                raise ValueError(base_text)
-            base = int(base_text)
-        except ValueError:
-            raise ParseError(f"invalid base {base_text!r} in {text!r}") from None
+        if any(ch.isspace() for ch in text):
+            raise ParseError(f"space in lunar literal {text!r}")
+        base = _natural(base_text, "base")
         if base < 2:
             raise ParseError(f"base must be >= 2, got {base}")
         if base > 10:
@@ -109,12 +105,14 @@ class LunarNumber:
         if self._base <= 10:
             digits = bytes(reversed(self._digits))
             body = digits.translate(_DIGIT_CHARS).decode()
-        else:
-            body = "".join(str(d) for d in reversed(self._digits))
+        else:  # a digit may take two characters, so digits are separated
+            body = ":".join(map(str, reversed(self._digits)))
         return f"{body or '0'}@{self._base}"
 
     def __repr__(self) -> str:
-        return f"LunarNumber.parse({str(self)!r})"
+        if self._base <= 10:
+            return f"LunarNumber.parse({str(self)!r})"
+        return f"LunarNumber({self._base}, {self._digits})"  # parse stops at 10
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LunarNumber):

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 from .errors import ParseError, PreconditionError
 from .lunar import LunarNumber, lunar_divides, lunar_divisors
-from .sets import EMPTY, FiniteSet, _divisor_masks, sumset
+from .sets import EMPTY, FiniteSet, _divisor_masks, _natural, sumset
 
 # SetArray.parse's language: one coordinate "{...}" holds no brace, and a
 # body is a parenthesized, comma-separated list of coordinates.
@@ -88,10 +88,7 @@ class SetArray:
         body, sep, height_text = text.partition("@")
         if not sep:
             raise ParseError(f"missing '@height' annotation in {text!r}")
-        try:
-            height = int(height_text)
-        except ValueError:
-            raise ParseError(f"invalid height {height_text!r}") from None
+        height = _natural(height_text, "height")
         if not _SETARRAY_BODY.fullmatch(body):
             raise ParseError(f"malformed set-array body {body!r}")
         coords = []
@@ -99,11 +96,7 @@ class SetArray:
             if not elems.strip():
                 coords.append(EMPTY)
                 continue
-            try:
-                coords.append(FiniteSet(int(e) for e in elems.split(",")))
-            except ValueError:
-                coordinate = "{" + elems + "}"
-                raise ParseError(f"malformed coordinate {coordinate!r}") from None
+            coords.append(FiniteSet(_natural(e, "set element") for e in elems.split(",")))
         if len(coords) != height:
             raise ParseError(
                 f"height annotation {height} does not match "

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError
-from .sets import FiniteSet, divides, divisors, interval, sumset
+from .sets import FiniteSet, _divides_mask, _divisor_masks, divides, interval, sumset
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,18 @@ def _promoted(b, missing, t):
     return b | missing & ((1 << t) - 1) | missing >> t
 
 
+def _family(b, missing, top, low) -> list:
+    """What one pair B + C = A adds to the family of B, with top = max B,
+    low = max C and missing = [k] minus A: b when top <= low and its
+    promotion at threshold low when top >= low, both on a tie (equal
+    when A = [k]).  The one family rule, on Python ints and on int64
+    arrays alike."""
+    members = [b] if top <= low else []
+    if top >= low:
+        members.append(_promoted(b, missing, low))
+    return members
+
+
 def promote(
     a: FiniteSet, k: int, base_factor: FiniteSet, other_max: int
 ) -> FiniteSet:
@@ -67,23 +79,16 @@ def promote(
 
 
 def promoted_family(a: FiniteSet, k: int, b: FiniteSet) -> PromotedFamily:
-    """The family F(b): one promoted factor of [k] per cofactor of b in a.
-
-    For a cofactor c: b itself joins the family when max(b) <= max(c),
-    and the promotion of b (threshold max(c)) joins when max(b) >= max(c);
-    both join on a tie.  Every cofactor has max(c) = max(a) - max(b), so
-    the family is read off that one value without listing the cofactors.
+    """The family F(b): one promoted factor of [k] per cofactor of b in a,
+    by _family.  Every cofactor has max(c) = max(a) - max(b), so the
+    family is read off that one value without listing the cofactors.
     """
     _check_zero_rooted_in(a, k)
     if not divides(b, a):
         raise PreconditionError(f"{b} does not divide {a}")
-    other_max = a.max - b.max
-    members = set()
-    if b.max <= other_max:
-        members.add(b)
-    if b.max >= other_max:
-        members.add(promote(a, k, b, other_max))
-    return PromotedFamily(divisor=b, members=frozenset(members))
+    missing = interval(k).mask & ~a.mask
+    members = _family(b.mask, missing, b.max, a.max - b.max)
+    return PromotedFamily(divisor=b, members=frozenset(map(FiniteSet.from_mask, members)))
 
 
 def witness_factor(k: int, a: FiniteSet) -> FiniteSet:
@@ -112,19 +117,17 @@ def verify_promotion_disjointness(a: FiniteSet, k: int) -> bool:
     witness factor avoids their union.
     """
     _check_zero_rooted_in(a, k)
-    full = interval(k)
-    seen: set[FiniteSet] = set()
+    full = interval(k).mask
+    missing = full & ~a.mask
+    seen: set[int] = set()
     total = 0
-    for b in divisors(a):
-        fam = promoted_family(a, k, b)
-        for m in fam.members:
-            if not divides(m, full):
-                return False
-        total += len(fam.members)
-        seen.update(fam.members)
+    for b in _divisor_masks(a):
+        top = b.bit_length() - 1
+        members = set(_family(b, missing, top, a.max - top))
+        if not all(_divides_mask(m, full) for m in members):
+            return False
+        total += len(members)
+        seen.update(members)
     if len(seen) != total:
         return False
-    if a != full and k >= 3:
-        if witness_factor(k, a) in seen:
-            return False
-    return True
+    return a.mask == full or k < 3 or witness_factor(k, a).mask not in seen

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Iterator
 
-from .errors import CapacityError, EmptyOperandError, PreconditionError
+from .errors import CapacityError, EmptyOperandError, ParseError, PreconditionError
 
 # Elements above this bound are rejected at construction time.
 ELEMENT_BOUND = 63
@@ -27,6 +27,20 @@ def _past_bound(e: int) -> CapacityError:
     """The error for an element e above ELEMENT_BOUND; callers test the
     bound themselves, before they allocate."""
     return CapacityError(f"element {e} exceeds the element bound {ELEMENT_BOUND}")
+
+
+def _natural(text: str, what: str) -> int:
+    """The natural number written in text: ASCII digits, whitespace around
+    them allowed.  ParseError otherwise, so signs, underscores and other
+    scripts' digits are refused.  Every parser of literals reads its
+    naturals here."""
+    digits = text.strip()
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(digits)
+        except ValueError:  # past int()'s limit of 4300 digits
+            pass
+    raise ParseError(f"invalid {what} {text!r}")
 
 
 class FiniteSet:

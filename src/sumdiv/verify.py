@@ -9,7 +9,8 @@ crlodd, crleven, odd2 and pi2 read: its top and second d with the sets
 reaching them, d([m]) and its count of d = 2.  crlodd sieves a block again
 only to list a rival of [k], and its promotion phase reads the same pairs.
 The pairs B = {0} and B = A, which every set has, are never sieved: the
-counts add them as 2 and the promotion phase writes their families down.
+counts add them as 2 and the promotion phase applies the family rule to
+them as to the sieved pairs.
 L15 streams whole blocks, and checks the rooted ones, through the
 translation lemma, against the blocks sieved over all pairs.  bases runs a
 pure-Python pair sieve over multisets packed as chains of sets, so it
@@ -198,12 +199,9 @@ def _promotion_members(max_k: int):
     Yields k, m and int64 arrays a, b, member for the a with max(a) = m,
     m descending from max_k and, for each m, k ascending from m: one entry
     per member of the family of divisor b of a, sorted by (a, member, b)
-    without repeats.  A pair adds b when max b <= max c, and
-    promote(a, k, b, max c) when max b >= max c, through promote's own
-    formula, promotion._promoted.
-    The pairs B = {0} and B = A, which _block_sums leaves out, add the
-    members {0} and promote(a, k, a, 0) = [k] (at m = 0 they are one pair,
-    adding both).  Only block m's pairs are held.  Keys pack the three odd
+    without repeats.  Each pair adds the members promotion._family gives
+    it, the pairs B = {0} and B = A, which _block_sums leaves out,
+    included.  Only block m's pairs are held.  Keys pack the three odd
     masks without bit 0 in 3k bits: max_k <= 21.
     """
     import numpy as np
@@ -211,20 +209,17 @@ def _promotion_members(max_k: int):
     for m in range(max_k, -1, -1):
         odd = 1 | np.arange(1 << max(m - 1, 0), dtype=np.int64) << 1
         block = odd | 1 << m  # every a with max(a) = m
-        pairs = [
+        pairs = [(0, block, 1), (m, block, block)] + [  # (max B, A, B)
             (top, rows.astype(np.int64), odd[: len(rows), None] | 1 << top)
             for top, rows in _block_sums(m)
         ]
         for k in range(max(m, 1), max_k + 1):
             full = (2 << k) - 1
-            keys = [_member_keys(k, block, 1, 1), _member_keys(k, block, full, block)]
-            for top, a, b in pairs:  # top = max B, low = max C
-                low = m - top
-                if top <= low:
-                    keys.append(_member_keys(k, a, b, b))
-                if top >= low:
-                    promoted = promotion._promoted(b, full & ~a, low)
-                    keys.append(_member_keys(k, a, promoted, b))
+            keys = [
+                _member_keys(k, a, member, b)
+                for top, a, b in pairs
+                for member in promotion._family(b, full & ~a, top, m - top)
+            ]
             keys = np.concatenate(keys)
             keys.sort()
             distinct = np.ones(len(keys), dtype=bool)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumdiv import cli, sets
+from sumdiv import cli, compositions, sets
 from sumdiv.cli import main, parse_set
 from sumdiv.compositions import enumerate_headstrong
 from sumdiv.errors import ParseError
@@ -36,6 +36,7 @@ class TestSetLiterals:
 
     def test_intervals(self):
         assert parse_set("[5]") == interval(5)
+        assert parse_set("[ 5 ]") == interval(5)
         assert parse_set("[5+]") == interval_positive(5)
         assert parse_set("[0]") == FiniteSet((0,))
 
@@ -43,7 +44,8 @@ class TestSetLiterals:
         assert parse_set("") == FiniteSet()
 
     def test_malformed(self):
-        for bad in ("[x]", "[-1]", "[0+]", "1,a", "[5"):
+        # Naturals are ASCII digits: int() would read "1_0" as 10.
+        for bad in ("[x]", "[-1]", "[0+]", "1,a", "[5", "1_0", "١,٢", "+1", "[١]"):
             with pytest.raises(ParseError):
                 parse_set(bad)
 
@@ -158,6 +160,8 @@ class TestLunarCommands:
             ("lunar", "add", "1٣@10", "1@10"),
             ("lunar", "mul", "²@3", "1@3"),
             ("beta", "1²@2", "--inverse"),
+            ("count", "1_0"),
+            ("count", "١,٢"),
         ],
     )
     def test_non_ascii_digit_is_parse_error(self, capsys, argv):
@@ -176,6 +180,21 @@ class TestLunarCommands:
 
 
 class TestTables:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compositions", "10", "--parts", "3", "--count"),
+            ("compositions", "10", "--count", "--parts", "3"),
+            ("table", "H", "--rows", "3", "--cols", "99"),
+        ],
+    )
+    def test_ignored_option_is_usage_error(self, capsys, argv):
+        # --count beside --parts, and --cols with H, used to be dropped.
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_f_table_plain(self, capsys):
         code, out, _ = run(capsys, "table", "F", "--rows", "5", "--cols", "10")
         assert code == 0
@@ -330,6 +349,20 @@ class TestExitCodes:
         )
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: element 1000000000000 exceeds the element bound 63\n"
+
+    def test_enumeration_bound_checked_first(self, capsys, monkeypatch):
+        # Listing the compositions of 26 takes 40 s and 1.2 GB; the bound
+        # must refuse it before any composition is built.
+        def no_work(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(compositions, "_bounded_parts", no_work)
+        code, out, err = run(capsys, "compositions", "26")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: enumerating headstrong compositions of 26 exceeds the "
+            "budget (n <= 25)\n"
+        )
 
     def test_deep_headstrong_count(self, capsys):
         code, out, _ = run(capsys, "compositions", "3000", "--count")

@@ -39,8 +39,8 @@ def ln(text: str) -> LunarNumber:
 
 
 @st.composite
-def lunar_numbers(draw, max_base=10, max_len=6):
-    base = draw(st.integers(2, max_base))
+def lunar_numbers(draw, max_base=10, max_len=6, min_base=2):
+    base = draw(st.integers(min_base, max_base))
     digits = draw(
         st.lists(st.integers(0, base - 1), min_size=0, max_size=max_len)
     )
@@ -115,8 +115,23 @@ class TestLunarNumber:
     @given(lunar_numbers(max_base=300))
     @example(LunarNumber(11, (10, 0, 1)))
     def test_str_writes_each_digit_in_decimal(self, x):
-        body = "".join(str(d) for d in reversed(x.digits)) or "0"
+        # Digits run together up to base 10, and are separated above it.
+        sep = ":" if x.base > 10 else ""
+        body = sep.join(str(d) for d in reversed(x.digits)) or "0"
         assert str(x) == f"{body}@{x.base}"
+
+    @given(
+        st.integers(2, 16).flatmap(
+            lambda b: st.lists(lunar_numbers(min_base=b, max_base=b, max_len=3))
+        )
+    )
+    @example([LunarNumber(11, (10,)), LunarNumber(11, (0, 1))])
+    def test_text_is_one_to_one(self, xs):
+        # Without a separator both examples would print as 10@11.
+        assert len({str(x) for x in xs}) == len(set(xs))
+        assert len({repr(x) for x in xs}) == len(set(xs))
+        for x in xs:
+            assert eval(repr(x), {"LunarNumber": LunarNumber}) == x
 
 
 class TestAddMul:

@@ -107,6 +107,11 @@ class TestSetArray:
             "({},}1)@1",
             "({0},{1(3 )@1",
             "({)@0",
+            # Naturals are ASCII digits: int() would take these.
+            "({0, ١})@١",
+            "({0, ١})@1",
+            "({0,1_0})@1",
+            "({0})@+1",
         ],
     )
     def test_parse_rejects(self, text):

@@ -34,6 +34,13 @@ zero_rooted = (
 )
 
 
+def promote_by_elements(a: FiniteSet, k: int, b: FiniteSet, t: int) -> FiniteSet:
+    """The definition of promotion, one missing element s of [k] at a
+    time: s joins b as s when s < t and as s - t otherwise."""
+    missing = [s for s in range(k + 1) if s not in a]
+    return fs(*b, *(s if s < t else s - t for s in missing))
+
+
 class TestFactorization:
     def test_valid(self):
         f = Factorization(interval(3), fs(0, 1), fs(0, 2))
@@ -89,12 +96,10 @@ class TestPromote:
         for k in range(6):
             for amask in range(1, 2 << k, 2):
                 a = FiniteSet.from_mask(amask)
-                missing = [s for s in range(k + 1) if s not in a]
                 for bmask in range(1, 2 << k, 2):
                     b = FiniteSet.from_mask(bmask)
                     for t in (*range(k + 2), 10**12):
-                        want = fs(*b, *(s if s < t else s - t for s in missing))
-                        assert promote(a, k, b, t) == want
+                        assert promote(a, k, b, t) == promote_by_elements(a, k, b, t)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
@@ -190,6 +195,33 @@ class TestDisjointness:
         if k < 1:
             return
         assert verify_promotion_disjointness(a, k)
+
+    def test_verdict_matches_definition(self):
+        # Each family built from the definition, one member per cofactor
+        # c and promoted element by element, with none of the library's
+        # promotion code; then the three conditions of the argument.
+        for k in range(8):
+            full = interval(k)
+            for amask in range(1, 2 << k, 2):
+                a = FiniteSet.from_mask(amask)
+                families = []
+                for bmask in range(1, amask + 1, 2):
+                    b = FiniteSet.from_mask(bmask)
+                    if not b.issubset(a) or not divides(b, a):
+                        continue
+                    family = set()
+                    for c in cofactors(a, b):
+                        if b.max <= c.max:
+                            family.add(b)
+                        if b.max >= c.max:
+                            family.add(promote_by_elements(a, k, b, c.max))
+                    families.append(family)
+                union = set().union(*families)
+                want = len(union) == sum(map(len, families))
+                want = want and all(divides(m, full) for m in union)
+                if a != full and k >= 3:
+                    want = want and witness_factor(k, a) not in union
+                assert verify_promotion_disjointness(a, k) == want, (a, k)
 
     def test_family_sizes_sum_to_d(self):
         # Family disjointness is what makes d(a) <= d([k]): the union of
