@@ -1,19 +1,20 @@
 """Command-line surface: compute, print tables, run verification sweeps.
 
-Exit codes: 0 success, 1 domain error, 2 usage error, 3 verification
-failure (a theorem target found a counterexample).
+Exit codes: 0 success, 1 domain error or a reader that closed the output
+early, 2 usage error, 3 verification failure (a theorem target found a
+counterexample).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
+import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import compositions, lunar, promotion, verify
 from .errors import DomainError, ParseError
 from .sets import (
     FiniteSet,
@@ -26,6 +27,12 @@ from .sets import (
     is_irreducible,
     sumset,
 )
+
+# The kernels beyond sets load in the handlers that call them, so a
+# command imports only what it runs.
+if TYPE_CHECKING:
+    from .compositions import Composition
+    from .lunar import LunarNumber
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -83,7 +90,7 @@ def _set_json(s: FiniteSet) -> str:
     return "[" + _elements_text(s.mask) + "]"
 
 
-def _lunar_json(n: lunar.LunarNumber) -> str:
+def _lunar_json(n: LunarNumber) -> str:
     return f'"{n}"'  # digits and "@" need no escaping
 
 
@@ -97,7 +104,7 @@ def _binary_json(mask: int) -> str:
     return f'"{mask:b}@2"'
 
 
-def _composition_json(c: compositions.Composition) -> str:
+def _composition_json(c: Composition) -> str:
     return "[" + ", ".join(map(str, c.parts)) + "]"
 
 
@@ -132,6 +139,8 @@ def _cmd_irreducible(args) -> int:
 
 
 def _cmd_lunar(args) -> int:
+    from . import lunar
+
     if args.lunar_op == "add":
         result = lunar.lunar_add(
             lunar.LunarNumber.parse(args.x), lunar.LunarNumber.parse(args.y)
@@ -159,6 +168,8 @@ def _cmd_lunar(args) -> int:
 
 
 def _cmd_beta(args) -> int:
+    from . import lunar
+
     if args.inverse:
         s = lunar.beta_inv(lunar.LunarNumber.parse(args.value))
         _emit(args, str(s), _set_payload(s))
@@ -169,6 +180,8 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_promote(args) -> int:
+    from . import promotion
+
     result = promotion.promote(
         parse_set(args.a), args.k, parse_set(args.factor), args.other_max
     )
@@ -177,6 +190,8 @@ def _cmd_promote(args) -> int:
 
 
 def _cmd_compositions(args) -> int:
+    from . import compositions
+
     if args.parts is not None:
         n = compositions.headstrong_by_parts(args.n, args.parts)
         _emit(args, str(n), n)
@@ -195,6 +210,8 @@ def _cmd_compositions(args) -> int:
 
 def format_table(table: list[list[int]], fmt: str) -> str:
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(table)
@@ -205,6 +222,8 @@ def format_table(table: list[list[int]], fmt: str) -> str:
 
 
 def _cmd_table(args) -> int:
+    from . import compositions
+
     if args.kind == "H" and args.cols is not None:
         args.usage_error("--cols applies to the F table only")  # exits 2
     if args.kind == "F":
@@ -217,6 +236,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     report = verify.run_target(
         args.target, max_k=args.max_k, promotion_max_k=args.promotion_max_k
     )
@@ -237,6 +258,18 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 # Parser wiring.
+
+class _TargetNames:
+    """verify's target names, read only when argparse checks a target or
+    prints help (it falls back on __iter__ for `in`).  With a metavar,
+    add_argument never reads choices, so building the parser does not
+    import verify."""
+
+    def __iter__(self):
+        from . import verify
+
+        return iter(verify.THEOREM_TARGETS + verify.CONJECTURE_TARGETS)
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification target")
     p.add_argument(
         "target",
-        choices=verify.THEOREM_TARGETS + verify.CONJECTURE_TARGETS,
+        choices=_TargetNames(),
+        metavar="TARGET",
+        help="one of: %(choices)s",
     )
     p.add_argument("--max-k", type=int, default=None, dest="max_k")
     p.add_argument("--promotion-max-k", type=int, default=None,
@@ -341,9 +376,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except BrokenPipeError:
+        # The reader left early (`| head`).  Point stdout at devnull, so
+        # that the flush at exit does not fail again, and report that the
+        # output is incomplete.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_DOMAIN
 
 

@@ -31,7 +31,6 @@ from typing import Callable, NamedTuple
 
 from . import promotion
 from .errors import CapacityError, PreconditionError
-from .multiset import setarray_divisor_count_formula
 from .sets import FiniteSet, interval
 
 THEOREM_TARGETS = ("crlodd", "crleven", "L15", "bases")
@@ -121,6 +120,9 @@ def _block_sums(m: int, rooted: bool = True):
 
 # How many blocks _block_counts has sieved in this process.
 _SIEVED = [0]
+# Seconds per phase of the running target, for its meta: a runner with
+# phases fills it.
+_PHASES: dict = {}
 
 def _block_counts(m: int, rooted: bool = True):
     """d(A) for every A with max A = m, as uint32 counts[i]: rooted, for
@@ -276,7 +278,9 @@ def _promotion_failures(max_k: int) -> list:
 def run_crlodd(max_k: int, promotion_max_k: int) -> tuple[list, dict]:
     """[k] is the unique d-maximum among 0-rooted sets with max <= k,
     plus the promotion-family disjointness that underpins it."""
+    start = time.perf_counter()
     bad = _promotion_failures(promotion_max_k)  # first, so the peaks never add
+    blocks_start = time.perf_counter()
     full = (2 << max_k) - 1
     limit = _block_summary(max_k).full
     for m in range(max_k + 1):
@@ -290,6 +294,7 @@ def run_crlodd(max_k: int, promotion_max_k: int) -> tuple[list, dict]:
             if mask != full:
                 bad.append({"set": _set_text(mask), "d": int(counts[i]), "limit": limit})
     bad.sort(key=lambda c: (c.get("k", -1), c["set"]))
+    _PHASES.update(promotion=blocks_start - start, blocks=time.perf_counter() - blocks_start)
     return bad, {"d_full_interval": limit}
 
 
@@ -385,6 +390,8 @@ def _chain_table(max_k: int, height: int) -> Counter:
 def run_bases(max_k: int) -> tuple[list, dict]:
     """Height-2 multisets have their unique d-maximum at ([k], {}), and the
     chain-count formula matches the sieve on (A, {}, ...) at each height."""
+    from .multiset import setarray_divisor_count_formula  # loads lunar too
+
     # One height-2 table serves both sides: a divisor of X has max <= max X.
     top = max(max_k, FORMULA_MAX_ELEMENT)
     tables = {2: _chain_table(top, 2), 3: _chain_table(FORMULA_MAX_ELEMENT, 3)}
@@ -540,6 +547,7 @@ def run_target(name: str, **params) -> VerificationReport:
             )
         kwargs[key] = value
     sieved, reused = _SIEVED[0], _block_summary.cache_info().hits
+    _PHASES.clear()
     start = time.perf_counter()
     bad, details = target.runner(**kwargs)
     elapsed = time.perf_counter() - start
@@ -548,6 +556,8 @@ def run_target(name: str, **params) -> VerificationReport:
         "blocks_sieved": _SIEVED[0] - sieved,
         "blocks_reused": _block_summary.cache_info().hits - reused,
     }
+    if _PHASES:
+        meta["phase_seconds"] = dict(_PHASES)
     status = "fail" if bad else "pass"
     return VerificationReport(
         target=name,

@@ -239,6 +239,14 @@ class TestVerifyCommand:
         assert json.loads(out1)["data"] == json.loads(out2)["data"]
         assert json.loads(out2)["meta"]["worker_count"] == 1
 
+    def test_crlodd_phase_seconds(self, capsys):
+        _, out, _ = run(capsys, "verify", "crlodd", "--max-k", "6", "--json")
+        meta = json.loads(out)["meta"]
+        phases = meta["phase_seconds"]
+        assert sorted(phases) == ["blocks", "promotion"]
+        assert all(t >= 0 for t in phases.values())
+        assert sum(phases.values()) <= meta["elapsed_seconds"]
+
     def test_no_workers_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "crlodd", "--workers", "2"])
@@ -349,6 +357,24 @@ class TestExitCodes:
         )
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: element 1000000000000 exceeds the element bound 63\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["divisors", "[16]"], ["table", "F", "--rows", "3", "--cols", "3000"]],
+    )
+    def test_reader_closing_early_is_1(self, argv):
+        # `sumdiv ... | head -1`: the reader closes the pipe after one line,
+        # long before the output is written.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sumdiv.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
 
     def test_enumeration_bound_checked_first(self, capsys, monkeypatch):
         # Listing the compositions of 26 takes 40 s and 1.2 GB; the bound

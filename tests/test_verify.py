@@ -525,25 +525,6 @@ class TestDispatch:
                 assert row["k"] == 5
 
 
-def test_import_does_not_load_numpy():
-    # Neither importing sumdiv nor running the lunar sweeps loads numpy.
-    src = str(Path(sumdiv.__file__).resolve().parents[1])
-    for argv in (None, ["verify", "bases", "--max-k", "3"], ["lunar", "divisors", "1101@2"]):
-        code = "import sys, sumdiv, sumdiv.cli\n"
-        if argv is not None:
-            code += f"assert sumdiv.cli.main({argv!r}) == 0\n"
-        code += "print('numpy' in sys.modules, file=sys.stderr)"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={"PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=60,
-        )
-        assert out.stderr.strip() == "False", argv
-
-
 def test_peak_rss_is_the_process_own():
     # A parent holding 200 MB starts verify: the child reports its own peak,
     # not the parent's, which ru_maxrss carries over exec on Linux.
