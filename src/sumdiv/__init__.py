@@ -27,7 +27,7 @@ _OWNERS = {
         "lunar_quotient_max",
     ),
     "promotion": (
-        "Factorization", "PromotedFamily", "promote", "promoted_family",
+        "PromotedFamily", "promote", "promoted_family",
         "verify_promotion_disjointness", "witness_factor",
     ),
     "compositions": (

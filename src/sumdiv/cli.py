@@ -20,6 +20,7 @@ from .sets import (
     FiniteSet,
     _elements_text,
     _natural,
+    _naturals,
     divisor_count,
     divisors,
     interval,
@@ -52,8 +53,7 @@ def parse_set(text: str) -> FiniteSet:
         if plus and k < 1:
             raise ParseError(f"invalid interval endpoint in {text!r}")
         return interval_positive(k) if plus else interval(k)
-    parts = (p for p in text.split(",") if p.strip() != "")
-    return FiniteSet(_natural(p, "set element") for p in parts)
+    return FiniteSet(_naturals(text, "set element"))
 
 
 def _emit(args, plain: str, payload) -> None:

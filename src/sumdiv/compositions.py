@@ -8,18 +8,17 @@ All counts are exact Python integers; the F sequences grow exponentially.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from math import comb
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, PreconditionError
 from .sets import FiniteSet, divides, interval
 
 # enumerate_headstrong takes n <= ENUMERATION_BOUND.  Listing the
-# compositions of n with `compositions n`, output to /dev/null, took
-# 8.3-8.7 s and 328 MB at 24, 17-19 s and 615 MB at 25, and 40 s and
-# 1183 MB at 26, each in a fresh process on 2 cores.
+# compositions of n with `compositions n`, output to /dev/null, takes
+# 8.7-11.9 s and 280 MB at 24 and 18.5-23.2 s and 526 MB at 25, each in a
+# fresh process on 2 shared cores; 26 took 40 s and 1183 MB.
 ENUMERATION_BOUND = 25
 # Composition counts take totals below this bound: n, cols <= COUNT_BOUND in
 # headstrong_count(n) and f_table(rows, cols), whose fill up to total t holds
@@ -36,17 +35,22 @@ TRIANGLE_BOUND = 250
 CELL_BOUND = 100_000
 
 
-@dataclass(frozen=True)
 class Composition:
     """An ordered tuple of positive parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("_parts",)
 
-    def __post_init__(self):
-        if not self.parts:
+    def __init__(self, parts: Iterable[int]):
+        parts = tuple(parts)
+        if not parts:
             raise PreconditionError("a composition needs at least one part")
-        if any(p < 1 for p in self.parts):
-            raise PreconditionError(f"parts must be positive: {self.parts}")
+        if any(p < 1 for p in parts):
+            raise PreconditionError(f"parts must be positive: {parts}")
+        self._parts = parts
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        return self._parts
 
     @property
     def total(self) -> int:
@@ -57,8 +61,19 @@ class Composition:
         """First part greater or equal to all other parts."""
         return all(p <= self.parts[0] for p in self.parts)
 
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Composition):
+            return self._parts == other._parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._parts)
+
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
+
+    def __repr__(self) -> str:
+        return f"Composition(parts={self._parts!r})"
 
 
 def _check_total(total: int) -> None:

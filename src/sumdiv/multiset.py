@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 from .errors import ParseError, PreconditionError
 from .lunar import LunarNumber, lunar_divides, lunar_divisors
-from .sets import EMPTY, FiniteSet, _divisor_masks, _natural, sumset
+from .sets import EMPTY, FiniteSet, _divisor_masks, _natural, _naturals, sumset
 
 # SetArray.parse's language: one coordinate "{...}" holds no brace, and a
 # body is a parenthesized, comma-separated list of coordinates.
@@ -91,12 +91,7 @@ class SetArray:
         height = _natural(height_text, "height")
         if not _SETARRAY_BODY.fullmatch(body):
             raise ParseError(f"malformed set-array body {body!r}")
-        coords = []
-        for elems in _COORDINATE.findall(body):
-            if not elems.strip():
-                coords.append(EMPTY)
-                continue
-            coords.append(FiniteSet(_natural(e, "set element") for e in elems.split(",")))
+        coords = [FiniteSet(_naturals(c, "set element")) for c in _COORDINATE.findall(body)]
         if len(coords) != height:
             raise ParseError(
                 f"height annotation {height} does not match "

@@ -5,33 +5,17 @@ and the disjointness check behind the maximality of d([k]) on 0-rooted sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import PreconditionError
-from .sets import FiniteSet, _divides_mask, _divisor_masks, divides, interval, sumset
+from .sets import FiniteSet, _divides_mask, _divisor_masks, divides, interval
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """A validated sumset factorization a = b + c."""
-
-    a: FiniteSet
-    b: FiniteSet
-    c: FiniteSet
-
-    def __post_init__(self):
-        if sumset(self.b, self.c) != self.a:
-            raise PreconditionError(
-                f"{self.b} + {self.c} != {self.a}: not a factorization"
-            )
-
-
-@dataclass(frozen=True)
-class PromotedFamily:
+class PromotedFamily(NamedTuple):
     """The set of factors of [k] obtained by promoting one divisor."""
 
     divisor: FiniteSet
-    members: frozenset = field(default_factory=frozenset)
+    members: frozenset = frozenset()
 
 
 def _check_zero_rooted_in(a: FiniteSet, k: int) -> None:

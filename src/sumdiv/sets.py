@@ -43,6 +43,15 @@ def _natural(text: str, what: str) -> int:
     raise ParseError(f"invalid {what} {text!r}")
 
 
+def _naturals(text: str, what: str) -> list[int]:
+    """The comma-separated naturals written in text, each read by _natural;
+    all-whitespace text is the empty list.  Every list literal is read
+    here, so an empty item such as the one in '0,,3' is refused alike."""
+    if not text.strip():
+        return []
+    return [_natural(item, what) for item in text.split(",")]
+
+
 class FiniteSet:
     """Immutable finite subset of N, canonical by element equality."""
 
@@ -342,18 +351,14 @@ def divisor_count(a: FiniteSet) -> int:
     return (r + 1) * _core_divisor_count(a.mask >> r)
 
 
-@functools.lru_cache(maxsize=None)
-def _core_is_irreducible(core_mask: int) -> bool:
-    # A factorization core = B + C with both factors of size >= 2 can be
-    # normalized so 0 < max(B) <= max(C), i.e. max(B) <= max(core) // 2;
-    # B = {0} is the one divisor with max 0.
-    top = (core_mask.bit_length() - 1) // 2
-    return all(b == 1 for b in _core_divisor_masks(core_mask, top))
-
-
 def is_irreducible(a: FiniteSet) -> bool:
     """True iff a admits no factorization with both factors of size >= 2;
     CapacityError past NODE_BUDGET search nodes."""
     if len(a) < 2:
         raise PreconditionError("irreducibility is undefined for |a| < 2")
-    return _core_is_irreducible(a.mask >> a.min)
+    # A factorization core = B + C with both factors of size >= 2 can be
+    # normalized so 0 < max(B) <= max(C), i.e. max(B) <= max(core) // 2;
+    # B = {0} is the one divisor with max 0.
+    core = a.mask >> a.min
+    top = (core.bit_length() - 1) // 2
+    return all(b == 1 for b in _core_divisor_masks(core, top))

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -41,30 +40,26 @@ FORMULA_MAX_ELEMENT = 5
 FORMULA_HEIGHTS = (2, 3)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     target: str
     range: dict
     status: str  # "pass" | "fail" | "evidence-only"
-    counterexamples: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-    elapsed: float = 0.0
-    meta: dict = field(default_factory=dict)  # how the run went, not its result
-
-    def data_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "range": self.range,
-            "status": self.status,
-            "counterexamples": self.counterexamples,
-            "details": self.details,
-        }
+    counterexamples: list
+    details: dict
+    elapsed: float
+    meta: dict  # how the run went, not its result
 
     def to_dict(self) -> dict:
         # elapsed lives in the metadata section so the data section is
         # byte-stable across runs.
         return {
-            "data": self.data_dict(),
+            "data": {
+                "target": self.target,
+                "range": self.range,
+                "status": self.status,
+                "counterexamples": self.counterexamples,
+                "details": self.details,
+            },
             "meta": {
                 "elapsed_seconds": self.elapsed,
                 "worker_count": 1,  # every target runs in this process

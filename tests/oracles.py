@@ -20,11 +20,11 @@ import numpy as np
 from sumdiv.errors import PreconditionError
 from sumdiv.sets import (
     FiniteSet,
-    _core_is_irreducible,
     _divides_mask,
     _quotient_mask,
     _sum_masks,
     divides,
+    is_irreducible,
 )
 
 
@@ -104,8 +104,7 @@ def count_irreducible(k: int) -> int:
     total = 0
     for rest in range(1 << k):
         mask = rest | 1 << k
-        core = mask >> (mask & -mask).bit_length() - 1
-        if mask.bit_count() >= 2 and _core_is_irreducible(core):
+        if mask.bit_count() >= 2 and is_irreducible(FiniteSet.from_mask(mask)):
             total += 1
     return total
 

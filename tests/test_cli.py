@@ -42,10 +42,15 @@ class TestSetLiterals:
 
     def test_empty(self):
         assert parse_set("") == FiniteSet()
+        assert parse_set(" ") == FiniteSet()
 
     def test_malformed(self):
         # Naturals are ASCII digits: int() would read "1_0" as 10.
-        for bad in ("[x]", "[-1]", "[0+]", "1,a", "[5", "1_0", "١,٢", "+1", "[١]"):
+        # An empty item is refused, as inside a set-array coordinate.
+        for bad in (
+            "[x]", "[-1]", "[0+]", "1,a", "[5", "1_0", "١,٢", "+1", "[١]",
+            "0,,3", "0,", ",0", ",",
+        ):
             with pytest.raises(ParseError):
                 parse_set(bad)
 
@@ -300,9 +305,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["count", "divisors", "irreducible"])
     def test_node_budget_error_is_1(self, capsys, monkeypatch, command):
         monkeypatch.setattr(sets, "NODE_BUDGET", 50)
-        # Its search takes 79 nodes; a cached answer would skip it.
+        # Its search takes 79 nodes; a cached count would skip it.
         sets._core_divisor_count.cache_clear()
-        sets._core_is_irreducible.cache_clear()
         literal = "0,1,2,3,4,5,8,9,10,11,12,14,16,17,18"
         code, out, err = run(capsys, command, literal)
         assert (code, out) == (1, "")
@@ -365,16 +369,16 @@ class TestExitCodes:
     def test_reader_closing_early_is_1(self, argv):
         # `sumdiv ... | head -1`: the reader closes the pipe after one line,
         # long before the output is written.
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "sumdiv.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
-        proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert (proc.wait(timeout=60), err) == (1, b"")
+        ) as proc:
+            proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (1, b"")
 
     def test_enumeration_bound_checked_first(self, capsys, monkeypatch):
         # Listing the compositions of 26 takes 40 s and 1.2 GB; the bound

@@ -112,6 +112,9 @@ class TestSetArray:
             "({0, ١})@1",
             "({0,1_0})@1",
             "({0})@+1",
+            # An empty item is refused, as in a set literal.
+            "({0,,3})@1",
+            "({,0})@1",
         ],
     )
     def test_parse_rejects(self, text):

@@ -31,7 +31,7 @@ OWNERS = {
         "lunar_quotient_max",
     ],
     "promotion": [
-        "Factorization", "PromotedFamily", "promote", "promoted_family",
+        "PromotedFamily", "promote", "promoted_family",
         "verify_promotion_disjointness", "witness_factor",
     ],
     "compositions": [
@@ -64,7 +64,7 @@ def _fresh(code: str) -> str:
 
 
 def test_namespace():
-    assert len(NAMES) == 56
+    assert len(NAMES) == 55
     assert sorted(sumdiv.__all__) == NAMES
     for module, names in OWNERS.items():
         owner = importlib.import_module(f"sumdiv.{module}")
@@ -87,31 +87,73 @@ CLI = "sumdiv, sumdiv.cli"
 
 # What a fresh process imports, the argv it then runs through
 # sumdiv.cli.main (if any), the sumdiv submodules loaded after that, and
-# whether numpy is.
+# whether numpy and dataclasses are.  numpy imports inspect, which nothing
+# else a command runs needs, so inspect is loaded exactly when numpy is.
 LOADS = [
-    ("sumdiv", None, [], False),
-    (CLI, None, BASE, False),
-    (CLI, ["count", "0,1,3"], BASE, False),
-    (CLI, ["lunar", "mul", "169@10", "248@10"], BASE + ["lunar"], False),
-    (CLI, ["lunar", "divisors", "1101@2"], BASE + ["lunar"], False),
-    (CLI, ["verify", "crleven", "--max-k", "3"], BASE + ["promotion", "verify"], True),
+    ("sumdiv", None, [], False, False),
+    (CLI, None, BASE, False, False),
+    (CLI, ["count", "0,1,3"], BASE, False, False),
+    (CLI, ["lunar", "mul", "169@10", "248@10"], BASE + ["lunar"], False, False),
+    (CLI, ["lunar", "divisors", "1101@2"], BASE + ["lunar"], False, False),
+    (CLI, ["verify", "crleven", "--max-k", "3"], BASE + ["promotion", "verify"], True, False),
     (
         CLI,
         ["verify", "bases", "--max-k", "3"],
         BASE + ["lunar", "multiset", "promotion", "verify"],
         False,
+        False,
     ),
+    (CLI, ["promote", "0,2,3,4,5,6", "6", "0,2,3", "3"], BASE + ["promotion"], False, False),
+    (CLI, ["compositions", "5", "--count"], BASE + ["compositions"], False, False),
 ]
 
 
 def test_modules_each_command_loads():
-    for imports, argv, modules, numpy in LOADS:
+    for imports, argv, modules, numpy, dataclasses in LOADS:
         code = f"import sys, {imports}\n"
         if argv is not None:
             code += f"assert sumdiv.cli.main({argv!r}) == 0\n"
         code += (
             "print(sorted(m[7:] for m in sys.modules if m.startswith('sumdiv.')),"
-            " 'numpy' in sys.modules)"
+            " *(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')))"
         )
         out = _fresh(code).splitlines()[-1]
-        assert out == f"{sorted(modules)!r} {numpy}", (imports, argv)
+        assert out == f"{sorted(modules)!r} {numpy} {dataclasses} {numpy}", (imports, argv)
+
+
+def test_records():
+    # Composition is a slotted value class, like FiniteSet.
+    c = sumdiv.Composition((3, 1, 2))
+    assert c == sumdiv.Composition([3, 1, 2]) and c != sumdiv.Composition((3, 2, 1))
+    assert c != (3, 1, 2)
+    assert hash(c) == hash(sumdiv.Composition((3, 1, 2)))
+    assert repr(c) == "Composition(parts=(3, 1, 2))"
+    assert c.parts == (3, 1, 2)
+    with pytest.raises(AttributeError):
+        c.parts = (6,)
+    for bad in ((), (2, 0), (1, -1)):
+        with pytest.raises(sumdiv.PreconditionError):
+            sumdiv.Composition(bad)
+
+    # PromotedFamily and VerificationReport are NamedTuples.
+    a, b = sumdiv.FiniteSet((0, 2, 3, 4, 5, 6)), sumdiv.FiniteSet((0, 2, 3))
+    family = sumdiv.promoted_family(a, 6, b)
+    assert family._fields == ("divisor", "members")
+    members = frozenset({b, sumdiv.FiniteSet((0, 1, 2, 3))})
+    assert family == sumdiv.PromotedFamily(b, members) == (b, members)
+    assert family.divisor == b and family.members == members
+    assert sumdiv.PromotedFamily(b) == (b, frozenset())
+
+    report = sumdiv.run_target("bases", max_k=1)
+    assert report._fields == (
+        "target", "range", "status", "counterexamples", "details", "elapsed", "meta",
+    )
+    out = report.to_dict()
+    assert out["data"] == {
+        "target": "bases",
+        "range": report.range,
+        "status": "pass",
+        "counterexamples": [],
+        "details": report.details,
+    }
+    assert out["meta"] == {"elapsed_seconds": report.elapsed, "worker_count": 1, **report.meta}

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sumdiv import (
     FiniteSet,
-    Factorization,
     PreconditionError,
     divides,
     divisors,
@@ -39,16 +38,6 @@ def promote_by_elements(a: FiniteSet, k: int, b: FiniteSet, t: int) -> FiniteSet
     time: s joins b as s when s < t and as s - t otherwise."""
     missing = [s for s in range(k + 1) if s not in a]
     return fs(*b, *(s if s < t else s - t for s in missing))
-
-
-class TestFactorization:
-    def test_valid(self):
-        f = Factorization(interval(3), fs(0, 1), fs(0, 2))
-        assert f.a == interval(3)
-
-    def test_invalid_rejected(self):
-        with pytest.raises(PreconditionError):
-            Factorization(interval(3), fs(0, 1), fs(0, 3))
 
 
 class TestCofactors:

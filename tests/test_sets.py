@@ -320,7 +320,6 @@ class TestIrreducible:
         # max <= 18.
         a = fs(0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12, 14, 16, 17, 18)
         monkeypatch.setattr(sets, "NODE_BUDGET", 50)
-        sets._core_is_irreducible.cache_clear()
         with pytest.raises(CapacityError):
             is_irreducible(a)
         monkeypatch.setattr(sets, "NODE_BUDGET", 79)
