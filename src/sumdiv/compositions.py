@@ -169,13 +169,19 @@ def bounded_comp_count(n: int, m: int, s: int) -> int:
 
 
 def _bounded_parts(n: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of n with parts <= cap (the empty one for n = 0)."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, min(cap, n) + 1):
-        for rest in _bounded_parts(n - first, cap):
-            yield (first, *rest)
+    """All compositions of n with parts <= cap, in lexicographic order (the
+    empty one for n = 0).  Each step raises the rightmost part below cap
+    that has a part after it and resets what follows it to ones."""
+    parts = [1] * n
+    while True:
+        yield tuple(parts)
+        i = len(parts) - 2
+        while i >= 0 and parts[i] == cap:
+            i -= 1
+        if i < 0:
+            return
+        parts[i] += 1
+        parts[i + 1 :] = [1] * (sum(parts[i + 1 :]) - 1)
 
 
 def enumerate_headstrong(n: int) -> list[Composition]:

@@ -16,6 +16,7 @@ DIVISOR_ENUM_BUDGET.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable
 
 from .errors import (
@@ -48,10 +49,10 @@ class LunarNumber:
     __slots__ = ("_base", "_digits")
 
     def __init__(self, base: int, digits: Iterable[int] = ()):
-        base = int(base)
+        base = operator.index(base)
         if base < 2:
             raise ValueError(f"base must be >= 2, got {base}")
-        digits = tuple(int(d) for d in digits)
+        digits = tuple(map(operator.index, digits))
         for d in digits:
             if not 0 <= d < base:
                 raise ValueError(f"digit {d} out of range for base {base}")

@@ -108,6 +108,14 @@ class TestLunarNumber:
         with pytest.raises(ValueError):
             LunarNumber(1)
 
+    def test_base_and_digits_must_be_integers(self):
+        # Read with operator.index: 1.9 is not truncated to the digit 1,
+        # nor 2.5 to the base 2.
+        for base, digits in ((3, [1.9, 2]), (2.5, [1]), ("3", [1]), (3, ["1"])):
+            with pytest.raises(TypeError):
+                LunarNumber(base, digits)
+        assert LunarNumber(True + 1, [True]) == ln("1@2")
+
     @given(lunar_numbers())
     def test_str_parse_round_trip(self, x):
         assert LunarNumber.parse(str(x)) == x

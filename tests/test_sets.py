@@ -31,6 +31,7 @@ from .oracles import (
     naive_divides,
     naive_divisors,
     naive_sumset,
+    divisor_table,
     walk_divisor_masks,
     walk_is_irreducible,
 )
@@ -38,6 +39,19 @@ from .oracles import (
 # A dense set with max 50 whose divisor search passes the node budget.
 OVER_BUDGET = FiniteSet(
     [0, *range(2, 12), *range(13, 26), *range(27, 40), *range(41, 51)]
+)
+
+# 53 elements up to 63, irreducible: its search stays inside the node
+# budget, at 551 881 nodes, only because it skips the maxima no divisor
+# can have.
+S53 = FiniteSet(
+    [0, 1, *range(3, 27), *range(28, 36), 37, 40, 41, *range(44, 52),
+     *range(53, 57), 59, 61, 62, 63]
+)
+# 51 elements up to 63, with 102 divisors listed in 9191 nodes.
+S51 = FiniteSet(
+    [*range(5), *range(7, 12), *range(14, 26), 27, 28, 29, 33, 34, 35,
+     *range(38, 49), *range(50, 55), 56, *range(58, 64)]
 )
 
 small_sets = st.frozensets(st.integers(0, 10), min_size=1, max_size=6)
@@ -67,6 +81,14 @@ class TestFiniteSet:
         s = fs(0, 3, 4)
         assert list(s) == [0, 3, 4]
         assert 3 in s and 1 not in s and -1 not in s
+
+    def test_elements_must_be_integers(self):
+        # Read with operator.index: 2.7 is not truncated to 2, nor '3'
+        # parsed.
+        for elems in ([2.7, True], ["3"], [2.0]):
+            with pytest.raises(TypeError):
+                FiniteSet(elems)
+        assert FiniteSet([True, 2]) == fs(1, 2)
 
     def test_negative_elements_rejected(self):
         with pytest.raises(ValueError):
@@ -280,13 +302,48 @@ class TestDivisors:
 
     def test_node_budget(self, monkeypatch):
         monkeypatch.setattr(sets, "NODE_BUDGET", 1000)
-        # d([12]) takes 1907 nodes; a cached answer would skip the search.
+        # d([12]) takes 1895 nodes; a cached answer would skip the search.
         sets._core_divisor_count.cache_clear()
         assert divisor_count(interval(8)) == 77
         with pytest.raises(CapacityError):
             divisor_count(interval(12))
         with pytest.raises(CapacityError):
             divisors(interval(12))
+
+    def test_pruned_on_the_cofactor_max(self):
+        assert divisor_count(S53) == 2
+        assert divisors(S53) == [fs(0), S53]
+        assert is_irreducible(S53)
+        assert divisor_count(S51) == len(divisors(S51)) == 102
+
+    def test_listed_divisors_closed_under_cofactor(self):
+        # The maximal cofactor of a divisor is a divisor, so a max skipped
+        # in error would leave some B listed without its cofactor.
+        rng = random.Random(20)
+
+        def sparse(top, k):
+            return 1 | 1 << top | sum(1 << rng.randrange(1, top) for _ in range(k))
+
+        for top in range(30, 64):
+            m = rng.randrange(4, top // 2 + 1)
+            a = FiniteSet.from_mask(sets._sum_masks(sparse(m, 3), sparse(top - m, 5)))
+            listed = set(divisors(a))
+            assert len(listed) == divisor_count(a) >= 4
+            assert all(quotient_max(a, b) in listed for b in listed)
+
+    @pytest.mark.stretch
+    def test_matches_divisor_table_stretch(self):
+        # Every 0-rooted core with max <= 18 against the sieve.
+        table = divisor_table(18)
+        try:
+            for core in range(1, 1 << 19, 2):
+                a = FiniteSet.from_mask(core)
+                d = int(table[core])
+                assert divisor_count(a) == d, a
+                if core > 1:
+                    assert is_irreducible(a) == (d == 2), a
+        finally:
+            sets._core_divisor_count.cache_clear()
 
     def test_listing_budget(self, monkeypatch):
         # {40, ..., 48} has 41 * d([8]) = 3157 divisors from a search of
@@ -316,13 +373,13 @@ class TestIrreducible:
         assert is_irreducible(FiniteSet([*range(31), 63]))
 
     def test_node_budget(self, monkeypatch):
-        # The search for this set takes 79 nodes, the most of any set with
+        # The search for this set takes 74 nodes, the most of any set with
         # max <= 18.
         a = fs(0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12, 14, 16, 17, 18)
-        monkeypatch.setattr(sets, "NODE_BUDGET", 50)
+        monkeypatch.setattr(sets, "NODE_BUDGET", 73)
         with pytest.raises(CapacityError):
             is_irreducible(a)
-        monkeypatch.setattr(sets, "NODE_BUDGET", 79)
+        monkeypatch.setattr(sets, "NODE_BUDGET", 74)
         assert is_irreducible(a)
 
     def test_matches_walk_exhaustively(self):
