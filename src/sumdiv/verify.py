@@ -7,10 +7,12 @@ sets with max A = m at a time.  A block does not depend on any target's
 range, so each process reduces a rooted block once to the summary that
 crlodd, crleven, odd2 and pi2 read: its top and second d with the sets
 reaching them, d([m]) and its count of d = 2.  crlodd sieves a block again
-only to list a rival of [k], and its promotion phase reads the same pairs.
-The pairs B = {0} and B = A, which every set has, are never sieved: the
-counts add them as 2 and the promotion phase applies the family rule to
-them as to the sieved pairs.
+only to list a rival of [k].  One kernel, _block_pairs, marks the distinct
+divisor pairs (B, A) of a block: the counts add them up, and crlodd's
+promotion phase applies the family rule to each of them once.  The pairs
+B = {0} and B = A, which every set has, are never sieved: the counts add
+them as 2 and the promotion phase applies the family rule to them as to
+the sieved pairs.
 L15 streams whole blocks, and checks the rooted ones, through the
 translation lemma, against the blocks sieved over all pairs.  bases runs a
 pure-Python pair sieve over multisets packed as chains of sets, so it
@@ -113,6 +115,35 @@ def _block_sums(m: int, rooted: bool = True):
         del rows  # before the next b allocates its rows
 
 
+def _block_pairs(m: int, rooted: bool = True):
+    """The distinct divisor pairs (B, A) among the sieve pairs of block m.
+    For each b = max B and each _CHUNK of b's rows of _block_sums, sorted
+    within each row and read as one flat array, yields b, the chunk's
+    offset s, the row width, the chunk and the flags that mark each entry
+    unlike every other entry of its row.  The flagged entries are exactly
+    the sets A that B divides, once each, B_i the row (s + p) // width of
+    the chunk's entry p.
+
+    A consumer drops its references to a chunk before it asks for the
+    next one, so that two b's rows are never held at once.
+    """
+    import numpy as np
+
+    for b, rows in _block_sums(m, rooted):
+        rows.sort(axis=1)
+        width, flat = rows.shape[1], rows.reshape(-1)
+        del rows
+        for s in range(0, len(flat), _CHUNK):
+            # Keep each row's first entry and each entry unlike the one before.
+            part = flat[s : s + _CHUNK]
+            distinct = np.empty(len(part), dtype=bool)
+            np.not_equal(part[1:], part[:-1], out=distinct[1:])
+            distinct[0] = s % width == 0 or part[0] != flat[s - 1]
+            distinct[-s % width :: width] = True
+            yield b, s, width, part, distinct
+        del flat, part  # before the next b allocates its rows
+
+
 # How many blocks _block_counts has sieved in this process.
 _SIEVED = [0]
 # Seconds per phase of the running target, for its meta: a runner with
@@ -124,8 +155,7 @@ def _block_counts(m: int, rooted: bool = True):
     the 0-rooted A = 2^m | 2i | 1 (i = 0 is {0} at m = 0); otherwise for
     every A = 2^m | i, counted from all pairs without the reduction.
 
-    The distinct entries of a row of _block_sums are exactly the sets its
-    B divides, so counting them per set counts its divisors.  The pairs
+    Each distinct pair of _block_pairs adds 1 to its A.  The pairs
     B = {0} and B = A are added as 2 (1 at m = 0) without sieving.
     """
     import numpy as np
@@ -134,23 +164,13 @@ def _block_counts(m: int, rooted: bool = True):
     size = 1 << max(m - rooted, 0)
     counts = np.full(size, 2 if m else 1, dtype=np.uint32)
     one = np.uint32(1)  # a uint32 increment keeps np.add.at on its fast path
-    for _, rows in _block_sums(m, rooted):
-        rows.sort(axis=1)
-        width, flat = rows.shape[1], rows.reshape(-1)
-        del rows
-        for s in range(0, len(flat), _CHUNK):
-            # Keep each row's first entry and each entry unlike the one before.
-            part = flat[s : s + _CHUNK]
-            distinct = np.empty(len(part), dtype=bool)
-            np.not_equal(part[1:], part[:-1], out=distinct[1:])
-            distinct[0] = s % width == 0 or part[0] != flat[s - 1]
-            distinct[-s % width :: width] = True
-            index = part[distinct]
-            if rooted:
-                index >>= 1
-            index &= size - 1
-            np.add.at(counts, index, one)
-        del flat, part  # before the next b allocates its rows
+    for _, _, _, part, distinct in _block_pairs(m, rooted):
+        index = part[distinct]
+        if rooted:
+            index >>= 1
+        index &= size - 1
+        np.add.at(counts, index, one)
+        del part, distinct, index  # before _block_pairs sieves the next b
     return counts
 
 
@@ -191,48 +211,43 @@ def _set_text(mask: int) -> str:
 
 def _promotion_members(max_k: int):
     """The promoted families of every 0-rooted A with max(A) <= k, for
-    each k in 1..max_k, read off the rooted sieve pairs (B, C), B + C = A.
+    each k in 1..max_k, read off the distinct rooted pairs (B, A) of
+    _block_pairs.
 
-    Yields k, m and int64 arrays a, b, member for the a with max(a) = m,
-    m descending from max_k and, for each m, k ascending from m: one entry
-    per member of the family of divisor b of a, sorted by (a, member, b)
-    without repeats.  Each pair adds the members promotion._family gives
-    it, the pairs B = {0} and B = A, which _block_sums leaves out,
-    included.  Only block m's pairs are held.  Keys pack the three odd
-    masks without bit 0 in 3k bits: max_k <= 21.
+    Yields k, m and int64 arrays a, member for the a with max(a) = m, m
+    descending from max_k and, for each m, k ascending from m: one entry
+    per member of the family of each divisor of a, sorted by (a, member),
+    so that a member of two families shows twice.  Each pair adds the
+    members promotion._family gives it, the two members of a tie once
+    where they are equal, and the pairs B = {0} and B = A, which
+    _block_sums leaves out, are included.  Only block m's pairs are held.
+    Keys pack a and member in 2k + 2 bits, so k <= 30.
     """
     import numpy as np
 
     for m in range(max_k, -1, -1):
-        odd = 1 | np.arange(1 << max(m - 1, 0), dtype=np.int64) << 1
-        block = odd | 1 << m  # every a with max(a) = m
-        pairs = [(0, block, 1), (m, block, block)] + [  # (max B, A, B)
-            (top, rows.astype(np.int64), odd[: len(rows), None] | 1 << top)
-            for top, rows in _block_sums(m)
-        ]
+        block = 1 | 1 << m | np.arange(1 << max(m - 1, 0), dtype=np.int64) << 1
+        pairs = [(0, block, 1)]  # (max B, A, B); at m = 0, B = {0} is B = A
+        if m:
+            pairs.append((m, block, block))
+        for top, s, width, part, distinct in _block_pairs(m):
+            row = (s + distinct.nonzero()[0]) // width
+            pairs.append((top, part[distinct].astype(np.int64), 1 | 1 << top | row << 1))
+            del part, distinct, row  # before _block_pairs sieves the next b
         for k in range(max(m, 1), max_k + 1):
             full = (2 << k) - 1
-            keys = [
-                _member_keys(k, a, member, b)
-                for top, a, b in pairs
-                for member in promotion._family(b, full & ~a, top, m - top)
-            ]
+            keys = []
+            for top, a, b in pairs:
+                members = promotion._family(b, full & ~a, top, m - top)
+                for i, member in enumerate(members):
+                    key = a << (k + 1) | member
+                    keys.append(key[member != b] if i else key)  # i = 1 on a tie
             keys = np.concatenate(keys)
             keys.sort()
-            distinct = np.ones(len(keys), dtype=bool)
-            distinct[1:] = keys[1:] != keys[:-1]
-            keys = keys[distinct]
-            bits = (1 << k) - 1
-            a = keys >> 2 * k << 1 | 1
-            member = (keys >> k & bits) << 1 | 1
-            b = (keys & bits) << 1 | 1
-            del keys  # the consumer holds three arrays of this size, not four
-            yield k, m, a, b, member
-
-
-def _member_keys(k: int, a, member, b):
-    """(a, member, b) packed into one int64 per entry, in that order."""
-    return ((a >> 1) << 2 * k | (member >> 1) << k | b >> 1).ravel()
+            a = keys >> (k + 1)
+            keys &= full  # the members, in place: two arrays of this size, not three
+            yield k, m, a, keys
+            del a, keys  # before the next k builds its keys
 
 
 def _promotion_failures(max_k: int) -> list:
@@ -244,13 +259,13 @@ def _promotion_failures(max_k: int) -> list:
 
     bad = []
     divides_full = {}  # k -> which masks divide [k]
-    for k, m, a, b, member in _promotion_members(max_k):
+    for k, m, a, member in _promotion_members(max_k):
         full = (2 << k) - 1
-        if m == k:  # block k comes first for this k and holds the pairs of [k]
+        if m == k:  # block k comes first for this k; [k]'s members are its divisors
             divides_full[k] = np.zeros(2 << k, dtype=bool)
-            divides_full[k][b[a == full]] = True
+            divides_full[k][member[a == full]] = True
         flag = ~divides_full[k][member]
-        # Sorted by (a, member, b), so a member of two families is adjacent.
+        # Sorted by (a, member), so a member of two families is adjacent.
         flag[1:] |= (a[1:] == a[:-1]) & (member[1:] == member[:-1])
         if k >= 3:  # the witness depends on a only at a = [k] - {2}
             odd_one = full & ~4
@@ -264,6 +279,7 @@ def _promotion_failures(max_k: int) -> list:
             {"set": _set_text(s), "k": k, "issue": "promotion families"}
             for s in sorted(set(a[flag].tolist()))
         )
+        del a, member, flag  # before _promotion_members builds the next k
     return bad
 
 
@@ -488,8 +504,9 @@ class _Target(NamedTuple):
 # pairs: 3.3 s and 102 MB at 22, 6.7 s and 162 MB at 23, 12 s and 282 MB
 # at 24.  bases keeps d for 3^(max_k+1) multisets and peaks near 130 MB at
 # max_k = 11 (370 MB at 12).  crlodd's promotion phase holds one block's
-# pairs and peaks near 200 MB at promotion_max_k = 20 (380 MB at 21); it
-# runs before the blocks.
+# distinct pairs and one k's keys: 0.6-0.7 s and 133 MB at
+# promotion_max_k = 20, 1.3-1.4 s and 239 MB at 21.  It runs before the
+# blocks.
 _TARGETS = {
     "crlodd": _Target(run_crlodd, {"max_k": (14, 26), "promotion_max_k": (10, 20)}),
     "crleven": _Target(run_crleven, {"max_k": (12, 26)}),

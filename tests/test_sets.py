@@ -342,6 +342,9 @@ class TestDivisors:
                 assert divisor_count(a) == d, a
                 if core > 1:
                     assert is_irreducible(a) == (d == 2), a
+            # 262 144 cores were counted; the cache keeps at most maxsize.
+            info = sets._core_divisor_count.cache_info()
+            assert info.currsize <= info.maxsize
         finally:
             sets._core_divisor_count.cache_clear()
 

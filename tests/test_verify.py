@@ -27,6 +27,7 @@ from sumdiv import (
     headstrong_count,
     interval,
     promoted_family,
+    promotion,
     setarray_divisor_count_formula,
     setarray_divisors,
     to_set_array,
@@ -329,11 +330,18 @@ class TestDispatch:
         assert r.status == "pass"
         assert r.counterexamples == []
 
+    @pytest.mark.stretch
+    def test_crlodd_promotion_at_bound_stretch(self):
+        bound = verify._TARGETS["crlodd"].sizes["promotion_max_k"][1]
+        r = run_target("crlodd", promotion_max_k=bound)
+        assert r.status == "pass"
+        assert r.counterexamples == []
+
     def test_promotion_sieve_matches_oracle(self):
         # Per (k, A): the total size of the promoted families, the size of
         # their union, and the verdict, against promotion.py.
         total, union = Counter(), set()
-        for k, _, a, _, member in verify._promotion_members(7):
+        for k, _, a, member in verify._promotion_members(7):
             total.update((k, m) for m in a.tolist())
             union.update(zip([k] * len(a), a.tolist(), member.tolist()))
         union = Counter((k, m) for k, m, _ in union)
@@ -348,6 +356,17 @@ class TestDispatch:
                     failures.append({"set": str(a), "k": k, "issue": "promotion families"})
         assert verify._promotion_failures(7) == failures
 
+    def test_promotion_sieve_in_small_chunks(self, monkeypatch):
+        # Chunks of 3 end inside rows and span several, so each pair's B
+        # is read from the chunk's offset; the members are the same.
+        def members():
+            return [(k, m, a.tolist(), member.tolist())
+                    for k, m, a, member in verify._promotion_members(9)]
+
+        whole = members()
+        monkeypatch.setattr(verify, "_CHUNK", 3)
+        assert members() == whole
+
     @pytest.mark.parametrize(
         "planted_member",
         [
@@ -360,16 +379,19 @@ class TestDispatch:
         # Within A = {0, 1, 2, 4, 5, 6} and k = 6, the family of {0, 4} is
         # {{0, 1, 4}}.  Promote {0, 4} to the planted member instead; each
         # breaks one check, and the sweep must report exactly that (k, A).
+        # The family rule sees A only through missing = [k] - A = {3}, and
+        # no other A with max <= k <= 7 and that missing has {0, 4} as a
+        # divisor.
         k, a = 6, FiniteSet((0, 1, 2, 4, 5, 6))
+        missing = interval(k).mask & ~a.mask
         victim, stolen = FiniteSet((0, 4)).mask, FiniteSet(planted_member).mask
-        member_keys = verify._member_keys
+        family = promotion._family
 
-        def planted(kk, aa, member, b):
-            if kk == k:
-                member = np.where((aa == a.mask) & (b == victim), stolen, member)
-            return member_keys(kk, aa, member, b)
+        def planted(b, miss, top, low):
+            hit = (miss == missing) & (b == victim)
+            return [np.where(hit, stolen, member) for member in family(b, miss, top, low)]
 
-        monkeypatch.setattr(verify, "_member_keys", planted)
+        monkeypatch.setattr(promotion, "_family", planted)
         r = run_target("crlodd", max_k=7, promotion_max_k=7)
         assert r.status == "fail"
         assert r.counterexamples == [
