@@ -19,8 +19,9 @@ from .errors import CapacityError, EmptyOperandError, ParseError, PreconditionEr
 ELEMENT_BOUND = 63
 
 # The divisor search (divisors, divisor_count, is_irreducible) raises
-# CapacityError past this many nodes.  d([24]) takes 3 955 137, and a
-# search that hits the budget stops within about 15 s in-process on 2 cores.
+# CapacityError past this many nodes.  d([24]) takes 4 124 550, and a
+# search that hits the budget stops after 10-19 s in-process on 2 shared
+# cores.
 NODE_BUDGET = 1 << 22
 
 
@@ -257,29 +258,27 @@ def _core_divisor_masks(core: int, top: int | None = None) -> Iterator[int]:
 
     One pruned search per t = max B in the core, in ascending order.  The
     cofactor C of a divisor with max t has max M - t, where M = max core,
-    so three rules decide most t before any search:
+    so two rules decide some t before any search:
     - at t = M, C = {0} and B is the core itself;
-    - t is skipped unless M - t is in the core and the largest candidates,
-      B within core & (core >> (M - t)) and C within core & (core >> t),
-      each cut at its max, together cover the core;
-    - past the middle, t is searched only if a divisor with max M - t was
-      found: the maximal cofactor of a divisor with max t is one.
+    - t is skipped unless M - t is in the core and, past the middle, a
+      divisor with max M - t was found: the maximal cofactor of a divisor
+      with max t is one.
     The core's elements below t are decided upward, and Q, the maximal
     cofactor of the decided part B, shrinks by Q &= core >> e with each
-    included e.  A branch is cut when Q loses M - t, which every cofactor
-    holds, or when B + Q misses an element of the core below the next
-    undecided one: only decided elements can cover those, and Q only
-    shrinks.  At a leaf, B divides the core iff B + Q == core.  Raises
-    CapacityError after NODE_BUDGET nodes; d([24]) takes 3 955 137.
+    included e.  An included e needs e + M - t in the core, since every
+    cofactor holds M - t.  So every completion of B lies within B and the
+    candidates e' >= e with e' + M - t in the core, where e is the next
+    undecided element, and its cofactor lies within Q.  Each node is cut
+    when that bound plus Q leaves part of the core bare.  At the root this
+    is the largest candidates' coverage; at a leaf B + Q is within the
+    core, so B divides it iff B + Q == core.  Raises CapacityError after
+    NODE_BUDGET nodes; d([24]) takes 4 124 550.
     """
     full = core.bit_length() - 1
     if top is None:
         top = full
     elems = [e for e in range(full + 1) if core >> e & 1]
     shifted = [core >> e for e in elems]
-    # B's decided elements below t, reflected about full: bit full - b.
-    # Then e is covered by B + Q iff Q meets reflected >> (full - e).
-    reflected = [1 << (full - e) for e in elems]
     nodes = 0
     found = 0  # bit t set once a divisor with max t is listed
     for i, t in enumerate(elems):
@@ -293,31 +292,27 @@ def _core_divisor_masks(core: int, top: int | None = None) -> Iterator[int]:
         # M - t is missing, or past the middle no divisor has max M - t.
         if not q & want or (2 * t > full and not found >> (full - t) & 1):
             continue
-        # The largest candidates for B and C leave part of the core bare.
-        if core & ~_sum_masks(core & core >> (full - t) & (2 << t) - 1, q):
-            continue
-        stack = [(1, 1 | 1 << t, 1 << full, q)]
+        cand = core & core >> (full - t) & (1 << t) - 1
+        stack = [(1, 1 | 1 << t, q)]
         while stack:
-            j, b, r, q = stack.pop()
+            j, b, q = stack.pop()
             nodes += 1
             if nodes > NODE_BUDGET:
                 raise CapacityError(
                     f"divisor search of {FiniteSet.from_mask(core)} exceeds "
                     f"the node budget {NODE_BUDGET}"
                 )
-            if j >= i:
-                if _sum_masks(b, q) == core:
-                    found |= 1 << t
-                    yield b
+            e = elems[j]  # t at a leaf, or elems[1] when t = 0
+            if core & ~_sum_masks(b | cand >> e << e, q):
                 continue
-            e = elems[j]
-            if q & (r >> (full - e)):
-                stack.append((j + 1, b, r, q))
+            if j >= i:
+                found |= 1 << t
+                yield b
+                continue
+            stack.append((j + 1, b, q))
             q2 = q & shifted[j]
             if q2 & want:
-                below = (1 << e) - 1
-                if (_sum_masks(b & below, q2 & below) ^ core) & below == 0:
-                    stack.append((j + 1, b | 1 << e, r | reflected[j], q2))
+                stack.append((j + 1, b | 1 << e, q2))
 
 
 def _listing_key(mask: int) -> int:

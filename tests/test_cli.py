@@ -305,7 +305,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["count", "divisors", "irreducible"])
     def test_node_budget_error_is_1(self, capsys, monkeypatch, command):
         monkeypatch.setattr(sets, "NODE_BUDGET", 50)
-        # Its search takes 74 nodes; a cached count would skip it.
+        # Its search takes 66 nodes; a cached count would skip it.
         sets._core_divisor_count.cache_clear()
         literal = "0,1,2,3,4,5,8,9,10,11,12,14,16,17,18"
         code, out, err = run(capsys, command, literal)

@@ -41,14 +41,13 @@ OVER_BUDGET = FiniteSet(
     [0, *range(2, 12), *range(13, 26), *range(27, 40), *range(41, 51)]
 )
 
-# 53 elements up to 63, irreducible: its search stays inside the node
-# budget, at 551 881 nodes, only because it skips the maxima no divisor
-# can have.
+# 53 elements up to 63, irreducible: its search takes 8254 nodes, since
+# each node is cut once its coverage bound leaves part of the set bare.
 S53 = FiniteSet(
     [0, 1, *range(3, 27), *range(28, 36), 37, 40, 41, *range(44, 52),
      *range(53, 57), 59, 61, 62, 63]
 )
-# 51 elements up to 63, with 102 divisors listed in 9191 nodes.
+# 51 elements up to 63, with 102 divisors listed in 3648 nodes.
 S51 = FiniteSet(
     [*range(5), *range(7, 12), *range(14, 26), 27, 28, 29, 33, 34, 35,
      *range(38, 49), *range(50, 55), 56, *range(58, 64)]
@@ -302,7 +301,7 @@ class TestDivisors:
 
     def test_node_budget(self, monkeypatch):
         monkeypatch.setattr(sets, "NODE_BUDGET", 1000)
-        # d([12]) takes 1895 nodes; a cached answer would skip the search.
+        # d([12]) takes 2056 nodes; a cached answer would skip the search.
         sets._core_divisor_count.cache_clear()
         assert divisor_count(interval(8)) == 77
         with pytest.raises(CapacityError):
@@ -310,11 +309,38 @@ class TestDivisors:
         with pytest.raises(CapacityError):
             divisors(interval(12))
 
-    def test_pruned_on_the_cofactor_max(self):
+    def test_pruned_on_the_cofactor_max(self, monkeypatch):
+        # S53 takes 8254 nodes and S51 3648; a cached count would skip
+        # the search.
+        monkeypatch.setattr(sets, "NODE_BUDGET", 10_000)
+        sets._core_divisor_count.cache_clear()
         assert divisor_count(S53) == 2
         assert divisors(S53) == [fs(0), S53]
         assert is_irreducible(S53)
         assert divisor_count(S51) == len(divisors(S51)) == 102
+
+    def test_sparse_products_match_walk(self):
+        # A + B for sparse 0-rooted A and B of at most 4 elements each:
+        # the coverage bound cuts most nodes here, and the cores are too
+        # large for the exhaustive tests.
+        rng = random.Random(22)
+
+        def sparse(top):
+            return 1 | 1 << top | sum(1 << rng.randrange(1, top) for _ in range(2))
+
+        for top in range(40, 64):
+            m = rng.randrange(2, top // 2 + 1)
+            core = sets._sum_masks(sparse(m), sparse(top - m))
+            a = FiniteSet.from_mask(core)
+            assert [b.mask for b in divisors(a)] == sorted(
+                walk_divisor_masks(core), key=sets._listing_key
+            ), a
+            assert is_irreducible(a) == walk_is_irreducible(core), a
+            # A product less one element is mostly irreducible.
+            inner = [e for e in a if 0 < e < top]
+            core ^= 1 << rng.choice(inner)
+            a = FiniteSet.from_mask(core)
+            assert is_irreducible(a) == walk_is_irreducible(core), a
 
     def test_listed_divisors_closed_under_cofactor(self):
         # The maximal cofactor of a divisor is a divisor, so a max skipped
@@ -376,13 +402,13 @@ class TestIrreducible:
         assert is_irreducible(FiniteSet([*range(31), 63]))
 
     def test_node_budget(self, monkeypatch):
-        # The search for this set takes 74 nodes, the most of any set with
+        # The search for this set takes 66 nodes, the most of any set with
         # max <= 18.
         a = fs(0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12, 14, 16, 17, 18)
-        monkeypatch.setattr(sets, "NODE_BUDGET", 73)
+        monkeypatch.setattr(sets, "NODE_BUDGET", 65)
         with pytest.raises(CapacityError):
             is_irreducible(a)
-        monkeypatch.setattr(sets, "NODE_BUDGET", 74)
+        monkeypatch.setattr(sets, "NODE_BUDGET", 66)
         assert is_irreducible(a)
 
     def test_matches_walk_exhaustively(self):
