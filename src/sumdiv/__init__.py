@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 # Each module and the public names it owns.
 _OWNERS = {
     "errors": (
-        "BaseMismatchError", "BudgetError", "CapacityError", "DomainError",
-        "EmptyOperandError", "ParseError", "PreconditionError",
+        "CapacityError", "DomainError", "ParseError", "PreconditionError",
     ),
     "sets": (
         "EMPTY", "FiniteSet", "divides", "divisor_count", "divisors",

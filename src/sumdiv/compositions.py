@@ -12,7 +12,7 @@ from math import comb
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetError, PreconditionError
+from .errors import CapacityError, PreconditionError
 from .sets import FiniteSet, divides, interval
 
 # enumerate_headstrong takes n <= ENUMERATION_BOUND.  Listing the
@@ -78,7 +78,7 @@ class Composition:
 
 def _check_total(total: int) -> None:
     if total >= COUNT_BOUND:
-        raise BudgetError(
+        raise CapacityError(
             f"composition counts up to {total} exceed the budget "
             f"(totals < {COUNT_BOUND})"
         )
@@ -131,7 +131,7 @@ def _h_rows(n: int) -> list[list[int]]:
     then 1, where H(r, m) = sum_j H(r - m, j) * C(m - 1, j - 1), j <= m:
     a filled row dotted with a row of Pascal's triangle."""
     if n > TRIANGLE_BOUND:
-        raise BudgetError(
+        raise CapacityError(
             f"the headstrong triangle up to n = {n} exceeds the budget "
             f"(n <= {TRIANGLE_BOUND})"
         )
@@ -155,7 +155,7 @@ def headstrong_by_parts(n: int, m: int) -> int:
 def bounded_comp_count(n: int, m: int, s: int) -> int:
     """C(n, m, s): m-compositions of n with every part in [1, s], by
     inclusion-exclusion over the j parts forced above s: the sum of
-    (-1)^j C(m, j) C(n - j s - 1, m - 1).  BudgetError for n >= COUNT_BOUND,
+    (-1)^j C(m, j) C(n - j s - 1, m - 1).  CapacityError for n >= COUNT_BOUND,
     unless n is outside [m, m s] and the count is 0."""
     if m < 1 or s < 1:
         raise PreconditionError("bounded_comp_count needs m, s >= 1")
@@ -189,7 +189,7 @@ def enumerate_headstrong(n: int) -> list[Composition]:
     if n < 1:
         raise PreconditionError("enumerate_headstrong needs n >= 1")
     if n > ENUMERATION_BOUND:
-        raise BudgetError(
+        raise CapacityError(
             f"enumerating headstrong compositions of {n} exceeds the "
             f"budget (n <= {ENUMERATION_BOUND})"
         )
@@ -276,7 +276,7 @@ def f_table(rows: int, cols: int) -> list[list[int]]:
     if rows < 1 or cols < 1:
         raise PreconditionError("the F table needs rows, cols >= 1")
     if rows * cols > CELL_BOUND:
-        raise BudgetError(
+        raise CapacityError(
             f"an F table of {rows} x {cols} cells exceeds the budget "
             f"(rows * cols <= {CELL_BOUND})"
         )

@@ -1,33 +1,30 @@
 """Exception hierarchy shared across the package.
 
-Everything user-facing derives from DomainError so the CLI can map the whole
-family to a single exit code.
+Every refusal the library makes is a DomainError, so the CLI maps them all
+to exit 1.  Each is exactly one of three kinds, the same whichever function
+reaches it: text that cannot be read, a value outside a function's domain,
+or a size past a bound.
 """
 
 
 class DomainError(Exception):
-    """A precondition or domain restriction was violated."""
-
-
-class EmptyOperandError(DomainError):
-    """The empty set was passed where sumset arithmetic forbids it."""
-
-
-class CapacityError(DomainError):
-    """An element or sweep parameter exceeds the configured bound."""
-
-
-class BaseMismatchError(DomainError):
-    """Two lunar numbers with different bases were combined."""
-
-
-class BudgetError(DomainError):
-    """A brute-force enumeration would exceed its configured budget."""
-
-
-class PreconditionError(DomainError):
-    """Generic precondition failure (bad roles, non-divisor input, ...)."""
+    """A refusal: the base of ParseError, PreconditionError and
+    CapacityError."""
 
 
 class ParseError(DomainError):
-    """Malformed textual input; the message points at the offending spot."""
+    """Text the library cannot read; the message points at the offending
+    spot."""
+
+
+class PreconditionError(DomainError):
+    """A value outside a function's domain: an empty operand, operands of
+    different bases or heights, a negative or out-of-range argument."""
+
+
+class CapacityError(DomainError):
+    """A size past a bound.  This covers every bound constant:
+    ELEMENT_BOUND and NODE_BUDGET (sets), MUL_DIGIT_BUDGET and
+    DIVISOR_ENUM_BUDGET (lunar), ENUMERATION_BOUND, COUNT_BOUND,
+    TRIANGLE_BOUND and CELL_BOUND (compositions), and each verify target's
+    bounds on its size parameters."""

@@ -19,12 +19,7 @@ import itertools
 import operator
 from typing import Iterable
 
-from .errors import (
-    BaseMismatchError,
-    BudgetError,
-    ParseError,
-    PreconditionError,
-)
+from .errors import CapacityError, ParseError, PreconditionError
 from .sets import FiniteSet, _divisor_masks, _natural
 
 # lunar_mul forms len(x) * len(y) digit products, about 80 ns each in pure
@@ -51,11 +46,11 @@ class LunarNumber:
     def __init__(self, base: int, digits: Iterable[int] = ()):
         base = operator.index(base)
         if base < 2:
-            raise ValueError(f"base must be >= 2, got {base}")
+            raise PreconditionError(f"base must be >= 2, got {base}")
         digits = tuple(map(operator.index, digits))
         for d in digits:
             if not 0 <= d < base:
-                raise ValueError(f"digit {d} out of range for base {base}")
+                raise PreconditionError(f"digit {d} out of range for base {base}")
         top = len(digits)
         while top and digits[top - 1] == 0:
             top -= 1
@@ -139,7 +134,7 @@ def _binary_from_mask(mask: int) -> LunarNumber:
 
 def _require_same_base(x: LunarNumber, y: LunarNumber) -> None:
     if x.base != y.base:
-        raise BaseMismatchError(f"base mismatch: {x.base} vs {y.base}")
+        raise PreconditionError(f"base mismatch: {x.base} vs {y.base}")
 
 
 def lunar_add(x: LunarNumber, y: LunarNumber) -> LunarNumber:
@@ -170,10 +165,10 @@ def _mul_digits(xd: tuple, yd: tuple) -> list[int]:
 
 def lunar_mul(x: LunarNumber, y: LunarNumber) -> LunarNumber:
     """Carry-free long multiplication: digit product min, column max.
-    BudgetError past MUL_DIGIT_BUDGET digit products."""
+    CapacityError past MUL_DIGIT_BUDGET digit products."""
     _require_same_base(x, y)
     if len(x) * len(y) > MUL_DIGIT_BUDGET:
-        raise BudgetError(
+        raise CapacityError(
             f"lunar product of {len(x)} by {len(y)} digits exceeds the budget "
             f"of {MUL_DIGIT_BUDGET} digit products"
         )
@@ -265,15 +260,16 @@ def lunar_divisors(n: LunarNumber) -> list[LunarNumber]:
     """All canonical y with y (x) z = n, ordered by (length, digit string).
 
     Base 2 lists the sumset divisors of beta_inv(n), whose ascending masks
-    are exactly that order; CapacityError past the set search's bounds.
-    Other bases raise BudgetError past DIVISOR_ENUM_BUDGET candidates.
+    are exactly that order; other bases try every candidate.  CapacityError
+    past the set search's bounds in base 2, and past DIVISOR_ENUM_BUDGET
+    candidates in the others.
     """
     if n.is_zero:
         raise PreconditionError("lunar zero has no divisor list")
     if n.base == 2:
         return [_binary_from_mask(m) for m in _binary_divisor_masks(n)]
     if n.base ** len(n) > DIVISOR_ENUM_BUDGET:
-        raise BudgetError(
+        raise CapacityError(
             f"divisor enumeration over base {n.base}, length {len(n)} exceeds "
             f"the budget of {DIVISOR_ENUM_BUDGET} candidates"
         )

@@ -13,7 +13,7 @@ import functools
 import operator
 from typing import Iterable, Iterator
 
-from .errors import CapacityError, EmptyOperandError, ParseError, PreconditionError
+from .errors import CapacityError, ParseError, PreconditionError
 
 # Elements above this bound are rejected at construction time.
 ELEMENT_BOUND = 63
@@ -63,7 +63,7 @@ class FiniteSet:
         mask = 0
         for e in map(operator.index, elements):
             if e < 0:
-                raise ValueError(f"set elements must be nonnegative, got {e}")
+                raise PreconditionError(f"set elements must be nonnegative, got {e}")
             if e > ELEMENT_BOUND:
                 raise _past_bound(e)
             mask |= 1 << e
@@ -72,7 +72,7 @@ class FiniteSet:
     @classmethod
     def from_mask(cls, mask: int) -> "FiniteSet":
         if mask < 0:
-            raise ValueError("mask must be nonnegative")
+            raise PreconditionError("mask must be nonnegative")
         if mask.bit_length() - 1 > ELEMENT_BOUND:
             raise _past_bound(mask.bit_length() - 1)
         out = object.__new__(cls)
@@ -94,13 +94,13 @@ class FiniteSet:
     @property
     def min(self) -> int:
         if self._mask == 0:
-            raise EmptyOperandError("empty set has no minimum")
+            raise PreconditionError("empty set has no minimum")
         return (self._mask & -self._mask).bit_length() - 1
 
     @property
     def max(self) -> int:
         if self._mask == 0:
-            raise EmptyOperandError("empty set has no maximum")
+            raise PreconditionError("empty set has no maximum")
         return self._mask.bit_length() - 1
 
     def shifted(self, j: int) -> "FiniteSet":
@@ -110,7 +110,7 @@ class FiniteSet:
                 raise _past_bound(self.max + j)
             return FiniteSet.from_mask(self._mask << j)
         if self._mask and self.min < -j:
-            raise ValueError(f"cannot shift {self} by {j}")
+            raise PreconditionError(f"cannot shift {self} by {j}")
         return FiniteSet.from_mask(self._mask >> -j)
 
     def issubset(self, other: "FiniteSet") -> bool:
@@ -177,7 +177,7 @@ EMPTY = FiniteSet()
 def interval(k: int) -> FiniteSet:
     """The full interval {0, 1, ..., k}."""
     if k < 0:
-        raise ValueError("interval endpoint must be nonnegative")
+        raise PreconditionError("interval endpoint must be nonnegative")
     if k > ELEMENT_BOUND:  # before 1 << (k + 1) allocates
         raise _past_bound(k)
     return FiniteSet.from_mask((1 << (k + 1)) - 1)
@@ -186,14 +186,14 @@ def interval(k: int) -> FiniteSet:
 def interval_positive(k: int) -> FiniteSet:
     """The interval {1, ..., k} (the full interval with 0 removed)."""
     if k < 1:
-        raise ValueError("positive interval needs k >= 1")
+        raise PreconditionError("positive interval needs k >= 1")
     return FiniteSet.from_mask(interval(k).mask ^ 1)
 
 
 def _require_nonempty(*sets: FiniteSet) -> None:
     for s in sets:
         if s.is_empty:
-            raise EmptyOperandError("empty set is not a valid operand here")
+            raise PreconditionError("empty set is not a valid operand here")
 
 
 def sumset(a: FiniteSet, b: FiniteSet) -> FiniteSet:

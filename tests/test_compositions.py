@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumdiv import (
-    BudgetError,
+    CapacityError,
     Composition,
     FiniteSet,
     PreconditionError,
@@ -159,11 +159,11 @@ class TestDeepCounts:
         assert f_table(7, 3)[6] == [0, 0, 0]
 
     def test_budget_and_preconditions(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(CapacityError):
             headstrong_count(COUNT_BOUND + 1)
-        with pytest.raises(BudgetError):
+        with pytest.raises(CapacityError):
             fib_general(1, COUNT_BOUND + 1)
-        with pytest.raises(BudgetError):
+        with pytest.raises(CapacityError):
             f_table(1, COUNT_BOUND + 1)
         for rows, cols in ((0, 3), (3, 0), (-1, 5)):
             with pytest.raises(PreconditionError):
@@ -178,7 +178,7 @@ class TestDeepCounts:
         n = TRIANGLE_BOUND + 1
         calls = ((h_table, (n,)), (headstrong_by_parts, (n, 2)), (weighted_row_sum, (n, 2)))
         for call, args in calls:
-            with pytest.raises(BudgetError):
+            with pytest.raises(CapacityError):
                 call(*args)
             assert compositions._H == [[1]]
         # H(n, 2) = floor(n / 2); cold, every row up to the bound is filled.
@@ -210,9 +210,9 @@ class TestDeepCounts:
         assert headstrong_by_parts(5, 2) == 2
 
     def test_cell_bound(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(CapacityError):
             f_table(CELL_BOUND + 1, 1)
-        with pytest.raises(BudgetError):
+        with pytest.raises(CapacityError):
             f_table(3000, 3000)
         assert len(f_table(CELL_BOUND // 10, 10)) == CELL_BOUND // 10
 
@@ -241,7 +241,7 @@ class TestBoundedCounts:
                 assert [bounded_comp_count(n, m, s) for n in range(61)] == row
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(CapacityError):
             bounded_comp_count(COUNT_BOUND, 2, COUNT_BOUND)
         assert bounded_comp_count(COUNT_BOUND - 1, 2, COUNT_BOUND) == COUNT_BOUND - 2
         # Outside [m, m s] the count is 0 whatever n is.
@@ -275,7 +275,7 @@ class TestEnumeration:
         assert keys == sorted(keys)
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(CapacityError):
             enumerate_headstrong(27)
 
 

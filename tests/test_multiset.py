@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumdiv import (
-    BudgetError,
+    CapacityError,
     EMPTY,
     FiniteSet,
     LunarNumber,
@@ -281,7 +281,7 @@ class TestDivisorCounts:
     def test_budget(self):
         # Lunar's budget of 4 * 10^6 candidates, (height + 1)^(max + 1):
         # 4^11 at height 3 and max 10.
-        with pytest.raises(BudgetError):
+        with pytest.raises(CapacityError):
             setarray_divisors(SetArray((fs(0, 10),) + (EMPTY,) * 2))
         assert setarray_divisors(SetArray.neutral(4)) == [SetArray.neutral(4)]
 

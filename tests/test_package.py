@@ -4,6 +4,7 @@ object on first use, and each command loads only the modules it runs.
 
 import importlib
 import json
+from functools import partial
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +18,7 @@ SRC = str(Path(sumdiv.__file__).resolve().parents[1])
 # Each module and the public names it owns.
 OWNERS = {
     "errors": [
-        "BaseMismatchError", "BudgetError", "CapacityError", "DomainError",
-        "EmptyOperandError", "ParseError", "PreconditionError",
+        "CapacityError", "DomainError", "ParseError", "PreconditionError",
     ],
     "sets": [
         "EMPTY", "FiniteSet", "divides", "divisor_count", "divisors",
@@ -64,7 +64,7 @@ def _fresh(code: str) -> str:
 
 
 def test_namespace():
-    assert len(NAMES) == 55
+    assert len(NAMES) == 52
     assert sorted(sumdiv.__all__) == NAMES
     for module, names in OWNERS.items():
         owner = importlib.import_module(f"sumdiv.{module}")
@@ -157,3 +157,71 @@ def test_records():
         "details": report.details,
     }
     assert out["meta"] == {"elapsed_seconds": report.elapsed, "worker_count": 1, **report.meta}
+
+
+def _divisor_count_past_node_budget():
+    # A lowered budget stops the search in milliseconds; the cache is
+    # cleared so that the count is searched for, not looked up.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sumdiv.sets, "NODE_BUDGET", 1000)
+        sumdiv.sets._core_divisor_count.cache_clear()
+        sumdiv.divisor_count(sumdiv.interval(12))
+
+
+_LONG = sumdiv.LunarNumber(2, [1] * 20_000)
+
+# One call past each bound, and one for each kind of refusal that used to
+# have a class of its own, with the one class it raises.
+REFUSALS = {
+    "interval(64)": (sumdiv.CapacityError, partial(sumdiv.interval, 64)),
+    "divisors listing cap": (
+        sumdiv.CapacityError,
+        partial(sumdiv.divisors, sumdiv.FiniteSet(range(44, 64))),
+    ),
+    "lunar_mul digit budget": (sumdiv.CapacityError, partial(sumdiv.lunar_mul, _LONG, _LONG)),
+    "lunar_divisors base 3": (
+        sumdiv.CapacityError,
+        partial(sumdiv.lunar_divisors, sumdiv.LunarNumber(3, [1] * 16)),
+    ),
+    "setarray_divisors height 2": (
+        sumdiv.CapacityError,
+        partial(
+            sumdiv.setarray_divisors,
+            sumdiv.SetArray([sumdiv.FiniteSet(range(15)), sumdiv.EMPTY]),
+        ),
+    ),
+    "headstrong_count(5001)": (sumdiv.CapacityError, partial(sumdiv.headstrong_count, 5001)),
+    "h_table(251)": (sumdiv.CapacityError, partial(sumdiv.h_table, 251)),
+    "f_table(1000, 1000)": (sumdiv.CapacityError, partial(sumdiv.f_table, 1000, 1000)),
+    "enumerate_headstrong(26)": (
+        sumdiv.CapacityError,
+        partial(sumdiv.enumerate_headstrong, 26),
+    ),
+    "crlodd max_k 27": (sumdiv.CapacityError, partial(sumdiv.run_target, "crlodd", max_k=27)),
+    "divisor_count node budget": (sumdiv.CapacityError, _divisor_count_past_node_budget),
+    "divisor_count(EMPTY)": (
+        sumdiv.PreconditionError,
+        partial(sumdiv.divisor_count, sumdiv.EMPTY),
+    ),
+    "EMPTY.min": (sumdiv.PreconditionError, partial(getattr, sumdiv.EMPTY, "min")),
+    "lunar_add across bases": (
+        sumdiv.PreconditionError,
+        partial(sumdiv.lunar_add, sumdiv.LunarNumber(2, [1]), sumdiv.LunarNumber(3, [1])),
+    ),
+    "multisum across heights": (
+        sumdiv.PreconditionError,
+        partial(sumdiv.multisum, sumdiv.SetArray.neutral(1), sumdiv.SetArray.neutral(2)),
+    ),
+    "FiniteSet([-1])": (sumdiv.PreconditionError, partial(sumdiv.FiniteSet, [-1])),
+    "interval(-1)": (sumdiv.PreconditionError, partial(sumdiv.interval, -1)),
+    "LunarNumber(1)": (sumdiv.PreconditionError, partial(sumdiv.LunarNumber, 1)),
+    "parse 1@x": (sumdiv.ParseError, partial(sumdiv.LunarNumber.parse, "1@x")),
+}
+
+
+@pytest.mark.parametrize("label", REFUSALS)
+def test_each_refusal_raises_exactly_its_class(label):
+    cls, call = REFUSALS[label]
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is cls, info.value
