@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import os
 import sys
@@ -210,12 +209,7 @@ def _cmd_compositions(args) -> int:
 
 def format_table(table: list[list[int]], fmt: str) -> str:
     if fmt == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(table)
-        return buf.getvalue().rstrip("\n")
+        return "\n".join(",".join(map(str, row)) for row in table)
     if fmt == "json":
         return json.dumps(table, sort_keys=True)
     return "\n".join(" ".join(str(v) for v in row) for row in table)

@@ -246,15 +246,15 @@ def divides(b: FiniteSet, a: FiniteSet) -> bool:
 
     Since any valid cofactor is contained in the maximal quotient and the
     sumset is monotone under inclusion, it suffices to test the maximal one.
+    A b with max(b) > max(a) has an empty maximal quotient, and one with
+    min(b) > min(a) a sum whose min is too large, so both test False.
     """
     _require_nonempty(a, b)
-    if b.max > a.max or b.min > a.min:
-        return False
     return _divides_mask(b.mask, a.mask)
 
 
-def _core_divisor_masks(core: int, top: int | None = None) -> Iterator[int]:
-    """The 0-rooted divisors B of a 0-rooted core, max B <= top, as masks.
+def _core_divisor_masks(core: int) -> Iterator[int]:
+    """The 0-rooted divisors B of a 0-rooted core, as masks, by ascending max.
 
     One pruned search per t = max B in the core, in ascending order.  The
     cofactor C of a divisor with max t has max M - t, where M = max core,
@@ -275,15 +275,11 @@ def _core_divisor_masks(core: int, top: int | None = None) -> Iterator[int]:
     NODE_BUDGET nodes; d([24]) takes 4 124 550.
     """
     full = core.bit_length() - 1
-    if top is None:
-        top = full
     elems = [e for e in range(full + 1) if core >> e & 1]
     shifted = [core >> e for e in elems]
     nodes = 0
     found = 0  # bit t set once a divisor with max t is listed
     for i, t in enumerate(elems):
-        if t > top:
-            return
         if t == full:  # C = {0} is the only cofactor
             yield core
             return
@@ -373,9 +369,9 @@ def is_irreducible(a: FiniteSet) -> bool:
     CapacityError past NODE_BUDGET search nodes."""
     if len(a) < 2:
         raise PreconditionError("irreducibility is undefined for |a| < 2")
-    # A factorization core = B + C with both factors of size >= 2 can be
-    # normalized so 0 < max(B) <= max(C), i.e. max(B) <= max(core) // 2;
-    # B = {0} is the one divisor with max 0.
+    # A proper divisor B (neither {0} nor the core) whose max is past the
+    # middle has a cofactor that is a proper divisor too, with a smaller
+    # max, so the search lists that cofactor first and all() stops there:
+    # it walks no node past the middle.
     core = a.mask >> a.min
-    top = (core.bit_length() - 1) // 2
-    return all(b == 1 for b in _core_divisor_masks(core, top))
+    return all(b == 1 or b == core for b in _core_divisor_masks(core))

@@ -64,7 +64,6 @@ class VerificationReport(NamedTuple):
             },
             "meta": {
                 "elapsed_seconds": self.elapsed,
-                "worker_count": 1,  # every target runs in this process
                 **self.meta,
             },
         }

@@ -210,6 +210,10 @@ class TestTables:
         assert code == 0
         assert out.splitlines()[-1] == "1,5,13,26,32,31,22,8,1,1"
 
+    def test_f_table_csv(self, capsys):
+        code, out, _ = run(capsys, "table", "F", "--rows", "3", "--cols", "4", "--format", "csv")
+        assert (code, out) == (0, "1,1,1,1\n0,1,1,2\n0,0,1,1\n")
+
     def test_table_json(self, capsys):
         code, out, _ = run(capsys, "table", "H", "--rows", "3", "--format", "json")
         assert code == 0
@@ -242,7 +246,6 @@ class TestVerifyCommand:
         monkeypatch.setenv("SUMDIV_WORKERS", "3")
         _, out2, _ = run(capsys, *args)
         assert json.loads(out1)["data"] == json.loads(out2)["data"]
-        assert json.loads(out2)["meta"]["worker_count"] == 1
 
     def test_crlodd_phase_seconds(self, capsys):
         _, out, _ = run(capsys, "verify", "crlodd", "--max-k", "6", "--json")
@@ -290,14 +293,22 @@ class TestExitCodes:
             ("compositions", "1200", "--parts", "3"),
             ("table", "H", "--rows", "2000"),
             ("table", "F", "--rows", "3000"),
-            # d([25]) passes the node budget of the divisor search.
-            ("count", "[25]"),
             # {44, ..., 63} has 45 * d([19]) divisors, too many to list.
             ("divisors", ",".join(map(str, range(44, 64)))),
         ],
     )
     def test_size_budget_error_is_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.stretch
+    def test_real_node_budget_error_is_1_stretch(self, capsys):
+        # d([25]) passes the real node budget of the divisor search, after
+        # seconds of search; test_node_budget_error_is_1 checks the same
+        # exit code under a lowered budget.
+        code, out, err = run(capsys, "count", "[25]")
         assert (code, out) == (1, "")
         assert err.startswith("error:")
         assert err.count("\n") == 1
@@ -410,6 +421,21 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["nosuch"])
         assert exc.value.code == 2
+
+    def test_unknown_verify_target_is_2(self, capsys):
+        # The target names are read only when argparse checks a choice.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "nosuch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "nosuch" in err
+
+    def test_verify_help_lists_every_target(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "one of: crlodd, crleven, L15, bases, odd2, pi2" in help_text
 
     def test_missing_subcommand_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -156,7 +156,7 @@ def test_records():
         "counterexamples": [],
         "details": report.details,
     }
-    assert out["meta"] == {"elapsed_seconds": report.elapsed, "worker_count": 1, **report.meta}
+    assert out["meta"] == {"elapsed_seconds": report.elapsed, **report.meta}
 
 
 def _divisor_count_past_node_budget():

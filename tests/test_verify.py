@@ -319,12 +319,6 @@ class TestDispatch:
         assert r.status == "pass"
         assert r.counterexamples == []
 
-    def test_worker_count_reports_workers_used(self):
-        # Every target runs in the calling process.
-        for name in THEOREM_TARGETS + CONJECTURE_TARGETS:
-            meta = run_target(name, max_k=3).to_dict()["meta"]
-            assert meta["worker_count"] == 1
-
     def test_crlodd_stretch_promotion_range(self):
         r = run_target("crlodd", promotion_max_k=14)
         assert r.status == "pass"
