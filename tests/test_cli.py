@@ -293,6 +293,7 @@ class TestExitCodes:
             ("compositions", "1200", "--parts", "3"),
             ("table", "H", "--rows", "2000"),
             ("table", "F", "--rows", "3000"),
+            ("compositions", "5001", "--count"),
             # {44, ..., 63} has 45 * d([19]) divisors, too many to list.
             ("divisors", ",".join(map(str, range(44, 64)))),
         ],
