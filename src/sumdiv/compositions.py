@@ -254,10 +254,12 @@ def reconstruct_diagonal(row: Sequence[int], length: int) -> list[int]:
     """Newton forward reconstruction: f(n) = sum_k row[k] * C(n-1, k).
 
     Applied to row d of the headstrong triangle this yields its (d+1)-th
-    diagonal.
+    diagonal.  CapacityError for length > COUNT_BOUND, before any work.
     """
     if length < 1:
         raise PreconditionError("reconstruct_diagonal needs length >= 1")
+    if length > COUNT_BOUND:
+        raise CapacityError(f"reconstruct_diagonal needs length <= {COUNT_BOUND}")
     return [
         sum(row[k] * comb(n - 1, k) for k in range(min(len(row), n)))
         for n in range(1, length + 1)

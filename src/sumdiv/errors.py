@@ -24,7 +24,7 @@ class PreconditionError(DomainError):
 
 class CapacityError(DomainError):
     """A size past a bound.  This covers every bound constant:
-    ELEMENT_BOUND and NODE_BUDGET (sets), MUL_DIGIT_BUDGET and
-    DIVISOR_ENUM_BUDGET (lunar), ENUMERATION_BOUND, COUNT_BOUND,
+    ELEMENT_BOUND and NODE_BUDGET (sets; the latter bounds lunar divisor
+    lists too), MUL_DIGIT_BUDGET (lunar), ENUMERATION_BOUND, COUNT_BOUND,
     TRIANGLE_BOUND and CELL_BOUND (compositions), and each verify target's
     bounds on its size parameters."""

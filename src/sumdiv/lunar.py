@@ -7,10 +7,10 @@ annotation, e.g. "12468@10"; above base 10 the digits are separated by
 colons, e.g. "10:0@11".  Text is parsed in bases up to 10.
 
 Base-2 divisor lists are the sumset divisors of beta_inv(n), so they
-run on the pruned set search of sumdiv.sets, under its node budget and
-its element bound of 63 (at most 64 digits).  Bases >= 3 try every
-candidate digit string against the quotient-max test, under
-DIVISOR_ENUM_BUDGET.
+run on the pruned set search of sumdiv.sets, under its element bound of
+63 (at most 64 digits).  Bases >= 3 try every candidate digit string
+against the quotient-max test.  One budget, sets.NODE_BUDGET, bounds
+both: search nodes in base 2, base ** length candidates above it.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import itertools
 import operator
 from typing import Iterable
 
+from . import sets
 from .errors import CapacityError, ParseError, PreconditionError
 from .sets import FiniteSet, _divisor_masks, _natural
 
@@ -26,10 +27,6 @@ from .sets import FiniteSet, _divisor_masks, _natural
 # Python (1.26 s at 4000 x 4000 digits); past this many, about 20 s, it
 # refuses before any work.
 MUL_DIGIT_BUDGET = 250_000_000
-
-# Divisor lists in bases >= 3 try base ** length candidates; beyond this
-# we refuse.  Base 2 runs on the set search and its NODE_BUDGET instead.
-DIVISOR_ENUM_BUDGET = 4_000_000
 
 # Digit values 0-9 as the bytes of their ASCII characters.
 _DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
@@ -261,17 +258,17 @@ def lunar_divisors(n: LunarNumber) -> list[LunarNumber]:
 
     Base 2 lists the sumset divisors of beta_inv(n), whose ascending masks
     are exactly that order; other bases try every candidate.  CapacityError
-    past the set search's bounds in base 2, and past DIVISOR_ENUM_BUDGET
-    candidates in the others.
+    past the set search's bounds in base 2, and past sets.NODE_BUDGET
+    candidates, base ** length, in the others.
     """
     if n.is_zero:
         raise PreconditionError("lunar zero has no divisor list")
     if n.base == 2:
         return [_binary_from_mask(m) for m in _binary_divisor_masks(n)]
-    if n.base ** len(n) > DIVISOR_ENUM_BUDGET:
+    if n.base ** len(n) > sets.NODE_BUDGET:
         raise CapacityError(
             f"divisor enumeration over base {n.base}, length {len(n)} exceeds "
-            f"the budget of {DIVISOR_ENUM_BUDGET} candidates"
+            f"the budget of {sets.NODE_BUDGET} candidates"
         )
     return [
         LunarNumber(n.base, yd) for yd in _divisor_digits(n.digits, n.base)

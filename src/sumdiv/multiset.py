@@ -164,9 +164,8 @@ def setarray_divides(y: SetArray, x: SetArray) -> bool:
 def setarray_divisors(x: SetArray) -> list[SetArray]:
     """All same-height divisors of x: the lunar divisors of beta_b(x), read
     back as chains.  At height 1 these are the sumset divisors of x's one
-    set, from the set search.  CapacityError past its NODE_BUDGET at height
-    1, and above it past lunar's DIVISOR_ENUM_BUDGET, that is,
-    (height+1)^(max+1) candidates.
+    set, from the set search.  CapacityError past sets.NODE_BUDGET: search
+    nodes at height 1, and above it (height+1)^(max+1) candidates.
     """
     if x.is_zero:
         raise PreconditionError("the zero multiset has no divisor list")

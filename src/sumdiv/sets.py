@@ -18,10 +18,11 @@ from .errors import CapacityError, ParseError, PreconditionError
 # Elements above this bound are rejected at construction time.
 ELEMENT_BOUND = 63
 
-# The divisor search (divisors, divisor_count, is_irreducible) raises
-# CapacityError past this many nodes.  d([24]) takes 4 124 550, and a
-# search that hits the budget stops after 10-19 s in-process on 2 shared
-# cores.
+# The one budget on divisor-list work: the divisor search (divisors,
+# divisor_count, is_irreducible) raises CapacityError past this many nodes,
+# and lunar_divisors in bases >= 3 past this many candidates, each costing
+# about a node.  d([24]) takes 4 124 550 nodes, and a search that hits the
+# budget stops after 10-19 s in-process on 2 shared cores.
 NODE_BUDGET = 1 << 22
 
 

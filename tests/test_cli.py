@@ -149,8 +149,8 @@ class TestLunarCommands:
         assert lines[:-1] == ["1@3", "2@3", "11@3", "12@3", "21@3", "22@3"]
 
     def test_binary_divisors_past_candidate_budget(self, capsys):
-        # 22 binary digits are 2^22 candidates, past the candidate budget;
-        # base 2 runs on the set search instead.
+        # 22 binary digits are 2^22 candidates, the whole budget of the
+        # candidate loop, about 20 s; base 2 runs on the set search instead.
         n = "1101101101101101101101@2"
         code, out, _ = run(capsys, "lunar", "divisors", n)
         assert code == 0

@@ -344,6 +344,14 @@ class TestDifferenceTables:
             diag = [headstrong_by_parts(n + d, n) for n in range(1, 6)]
             assert reconstruct_diagonal(row, 5) == diag
 
+    def test_length_bound(self):
+        # Checked before the list or any binomial is built.
+        assert len(reconstruct_diagonal([1], COUNT_BOUND)) == COUNT_BOUND
+        with pytest.raises(CapacityError):
+            reconstruct_diagonal([1], COUNT_BOUND + 1)
+        with pytest.raises(CapacityError):
+            reconstruct_diagonal([1], 10**9)
+
 
 class TestWeightedSums:
     def test_matches_direct_sum(self):

@@ -25,6 +25,7 @@ from sumdiv import (
     lunar_mul,
     lunar_quotient_max,
     sets,
+    setarray_divisor_count_formula,
     sumset,
 )
 from sumdiv.lunar import _divisor_digits
@@ -256,7 +257,29 @@ class TestLunarDivisibility:
         for text in ("1110@2", "11@3", "120@3", "169@10"):
             n = ln(text)
             got = [d.digits for d in lunar_divisors(n)]
-            assert sorted(got) == sorted(naive_lunar_divisors(n.digits, n.base))
+            want = naive_lunar_divisors(n.digits, n.base)
+            assert got == sorted(want, key=lambda d: (len(d), d[::-1]))
+
+    def test_zero_one_lists_in_bases_3_to_10(self):
+        # Every 0/1-digit number with base^length <= 3^7, the class of the
+        # set-array images (A, {}, ..., {}): the list is strictly increasing
+        # in (length, digit string), each entry divides n, and its length is
+        # the chain formula's count at height base - 1.
+        for base in range(3, 11):
+            length = 1
+            while base**length <= 3**7:
+                for low in range(1 << (length - 1)):
+                    digits = [low >> i & 1 for i in range(length - 1)] + [1]
+                    n = LunarNumber(base, digits)
+                    divs = lunar_divisors(n)
+                    keys = [(len(d), d.digits[::-1]) for d in divs]
+                    assert all(a < b for a, b in zip(keys, keys[1:])), n
+                    assert all(lunar_divides(d, n) for d in divs), n
+                    support = FiniteSet(i for i, d in enumerate(digits) if d)
+                    assert len(divs) == setarray_divisor_count_formula(
+                        support, base - 1
+                    ), n
+                length += 1
 
     def test_known_counts(self):
         # d_2(1110) = 6 and d_3(11) = 6.
@@ -289,8 +312,8 @@ class TestLunarDivisibility:
             assert lunar_divisor_count(n) == headstrong_count(length)
 
     def test_binary_past_candidate_budget(self):
-        # 2^22 candidates at 22 digits: refused by the candidate loop, well
-        # within the set search.
+        # 2^22 candidates at 22 digits: the whole budget of the candidate
+        # loop, well within the set search.
         n = ln("1101101101101101101101@2")
         divs = lunar_divisors(n)
         assert divs == sorted(divs, key=lambda d: (len(d), d.digits[::-1]))
@@ -306,6 +329,16 @@ class TestLunarDivisibility:
             lunar_divisors(too_long)
         with pytest.raises(CapacityError):
             lunar_divisor_count(too_long)
+
+    def test_node_budget_in_base_3(self, monkeypatch):
+        # The one budget bounds the candidate loop too: 3^5 candidates.
+        monkeypatch.setattr(sets, "NODE_BUDGET", 100)
+        four_ones = LunarNumber(3, [1] * 4)
+        assert lunar_divisor_count(four_ones) == setarray_divisor_count_formula(
+            FiniteSet(range(4)), 2
+        )
+        with pytest.raises(CapacityError):
+            lunar_divisors(LunarNumber(3, [1] * 5))
 
     def test_binary_node_budget(self, monkeypatch):
         monkeypatch.setattr(sets, "NODE_BUDGET", 50)

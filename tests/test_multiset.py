@@ -279,11 +279,17 @@ class TestDivisorCounts:
             ), a
 
     def test_budget(self):
-        # Lunar's budget of 4 * 10^6 candidates, (height + 1)^(max + 1):
-        # 4^11 at height 3 and max 10.
+        # The node budget of 2^22 candidates, (height + 1)^(max + 1):
+        # 4^12 at height 3 and max 11.
         with pytest.raises(CapacityError):
-            setarray_divisors(SetArray((fs(0, 10),) + (EMPTY,) * 2))
+            setarray_divisors(SetArray((fs(0, 11),) + (EMPTY,) * 2))
         assert setarray_divisors(SetArray.neutral(4)) == [SetArray.neutral(4)]
+
+    @pytest.mark.stretch
+    def test_at_budget_stretch(self):
+        # 4^11 = 2^22 candidates at height 3 and max 10: the most accepted.
+        divs = setarray_divisors(SetArray((fs(0, 10), EMPTY, EMPTY)))
+        assert len(divs) == 12 == setarray_divisor_count_formula(fs(0, 10), 3)
 
     def test_zero_rejected(self):
         with pytest.raises(PreconditionError):

@@ -294,6 +294,10 @@ class TestDivisors:
         # {60, ..., 63} are decided at once.
         assert divisors(fs(0, 30)) == [fs(0), fs(0, 30)]
         assert len(divisors(interval(3).shifted(60))) == 5 * 61
+
+    @pytest.mark.stretch
+    def test_real_node_budget_stretch(self):
+        # The real 2^22-node budget admits d([24]) and refuses a dense set.
         assert divisor_count(interval(24)) == headstrong_count(25)
         with pytest.raises(CapacityError):
             divisor_count(OVER_BUDGET)
