@@ -26,5 +26,6 @@ class CapacityError(DomainError):
     """A size past a bound.  This covers every bound constant:
     ELEMENT_BOUND and NODE_BUDGET (sets; the latter bounds lunar divisor
     lists too), MUL_DIGIT_BUDGET (lunar), ENUMERATION_BOUND, COUNT_BOUND,
-    TRIANGLE_BOUND and CELL_BOUND (compositions), and each verify target's
-    bounds on its size parameters."""
+    TRIANGLE_BOUND and CELL_BOUND (compositions; the last bounds the cells
+    of f_table and the terms of reconstruct_diagonal), and each verify
+    target's bounds on its size parameters."""

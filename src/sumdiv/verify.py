@@ -7,8 +7,9 @@ sets with max A = m at a time.  A block does not depend on any target's
 range, so each process reduces a rooted block once to the summary that
 crlodd, crleven, odd2 and pi2 read: its top and second d with the sets
 reaching them, d([m]) and its count of d = 2.  crlodd sieves a block again
-only to list a rival of [k].  One kernel, _block_pairs, marks the distinct
-divisor pairs (B, A) of a block: the counts add them up, and crlodd's
+only to list a rival of [k].  One generator, _block_pairs, fills the
+sums B + C of a block one b = max B at a time, sorts them and marks its
+distinct divisor pairs (B, A): the counts add them up, and crlodd's
 promotion phase applies the family rule to each of them once.  The pairs
 B = {0} and B = A, which every set has, are never sieved: the counts add
 them as 2 and the promotion phase applies the family rule to them as to
@@ -72,66 +73,54 @@ class VerificationReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # The divisor sieve, one block of sets with max A = m at a time.
 
-# The block sieve fills and counts at most this many sums at a time, so
-# that its temporaries stay small next to a block's rows.
+# _block_pairs fills a b's rows this many columns at a time, and marks and
+# yields their sorted sums this many at a time, so that the sieve's
+# temporaries stay small next to a block's rows.
 _CHUNK = 1 << 20
 
 
-def _block_sums(m: int, rooted: bool = True):
-    """The pairs (B, C) of the divisor sieve with max B + max C = m and
-    0 < max B < m, one b = max B at a time: yields b and the int32
-    rows[i, j] = B_i + C_j, which all lie in [2^m, 2^(m+1)).  Rooted,
-    B_i = {0, b} | (i << 1) and C_j = {0, m - b} | (j << 1) run over the
-    0-rooted sets, 2^(b-1) by 2^(m-b-1); otherwise B_i = {b} | i and
-    C_j = {m - b} | j, 2^b by 2^(m-b).  The pairs B = {0} and B = A,
-    which every set has, are left to the callers.  Masks are int32, so
-    m <= 30.
-    """
-    import numpy as np
-
-    step, first = (2, 1) if rooted else (1, 0)
-    for b in range(1, m):
-        rows = np.empty((1 << (b - first), 1 << (m - b - first)), dtype=np.int32)
-        # X + Y for the factor Y with the smaller max t: X shifted by t,
-        # or'ed with X shifted by each element e of Y below t, each e
-        # doubling the filled part of Y's axis.  X's axis is filled
-        # _CHUNK sets at a time, so that no list of all of X is held.
-        out, t = (rows, b) if b <= m - b else (rows.T, m - b)
-        x0, xs = 1 << (m - t) | first, 1 << (m - t - first)  # first X, how many
-        for j in range(0, xs, _CHUNK):
-            stop = x0 + step * min(j + _CHUNK, xs)
-            x = np.arange(x0 + step * j, stop, step, dtype=np.int32)
-            part = out[:, j : j + _CHUNK]
-            np.left_shift(x, t, out=part[0])
-            if rooted:
-                np.bitwise_or(part[0], x, out=part[0])
-            for e in range(first, t):
-                n = 1 << (e - first)
-                np.left_shift(x, e, out=part[n : 2 * n])
-                np.bitwise_or(part[n : 2 * n], part[:n], out=part[n : 2 * n])
-        del out, x, part
-        yield b, rows
-        del rows  # before the next b allocates its rows
-
-
 def _block_pairs(m: int, rooted: bool = True):
-    """The distinct divisor pairs (B, A) among the sieve pairs of block m.
-    For each b = max B and each _CHUNK of b's rows of _block_sums, sorted
-    within each row and read as one flat array, yields b, the chunk's
-    offset s, the row width, the chunk and the flags that mark each entry
-    unlike every other entry of its row.  The flagged entries are exactly
-    the sets A that B divides, once each, B_i the row (s + p) // width of
-    the chunk's entry p.
+    """The distinct divisor pairs (B, A) among the sieve pairs (B, C) with
+    max B + max C = m and 0 < max B < m.  Rooted, B_i = {0, b} | (i << 1)
+    and C_j = {0, m - b} | (j << 1) run over the 0-rooted sets, 2^(b-1) by
+    2^(m-b-1); otherwise B_i = {b} | i and C_j = {m - b} | j, 2^b by
+    2^(m-b).  The pairs B = {0} and B = A, which every set has, are left
+    to the callers.  Masks are int32, so m <= 30.
+
+    For each b = max B, fills the rows B_i + C_j, which all lie in
+    [2^m, 2^(m+1)), sorts each row and reads them as one flat array; for
+    each _CHUNK of it, yields b, the chunk's offset s, the row width, the
+    chunk and the flags that mark each entry unlike every other entry of
+    its row.  The flagged entries are exactly the sets A that B divides,
+    once each, B_i the row (s + p) // width of the chunk's entry p.
 
     A consumer drops its references to a chunk before it asks for the
     next one, so that two b's rows are never held at once.
     """
     import numpy as np
 
-    for b, rows in _block_sums(m, rooted):
+    step, first = (2, 1) if rooted else (1, 0)
+    for b in range(1, m):
+        rows = np.empty((1 << (b - first), 1 << (m - b - first)), dtype=np.int32)
+        # Row 0 is C shifted by b, or'ed with C when rooted; each element e
+        # of B below b doubles the filled rows, the row of B | {e} being
+        # the row of B or'ed with C shifted by e.  The C are made _CHUNK
+        # sets at a time, so that no list of them all is held.
+        c0, cs = 1 << (m - b) | first, 1 << (m - b - first)  # first C, how many
+        for j in range(0, cs, _CHUNK):
+            stop = c0 + step * min(j + _CHUNK, cs)
+            c = np.arange(c0 + step * j, stop, step, dtype=np.int32)
+            part = rows[:, j : j + _CHUNK]
+            np.left_shift(c, b, out=part[0])
+            if rooted:
+                np.bitwise_or(part[0], c, out=part[0])
+            for e in range(first, b):
+                n = 1 << (e - first)
+                np.left_shift(c, e, out=part[n : 2 * n])
+                np.bitwise_or(part[n : 2 * n], part[:n], out=part[n : 2 * n])
         rows.sort(axis=1)
         width, flat = rows.shape[1], rows.reshape(-1)
-        del rows
+        del rows, c, part
         for s in range(0, len(flat), _CHUNK):
             # Keep each row's first entry and each entry unlike the one before.
             part = flat[s : s + _CHUNK]
@@ -219,7 +208,7 @@ def _promotion_members(max_k: int):
     so that a member of two families shows twice.  Each pair adds the
     members promotion._family gives it, the two members of a tie once
     where they are equal, and the pairs B = {0} and B = A, which
-    _block_sums leaves out, are included.  Only block m's pairs are held.
+    _block_pairs leaves out, are included.  Only block m's pairs are held.
     Keys pack a and member in 2k + 2 bits, so k <= 30.
     """
     import numpy as np

@@ -3,6 +3,7 @@ divisors, and difference-table reconstruction.
 """
 
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -347,10 +348,17 @@ class TestDifferenceTables:
     def test_length_bound(self):
         # Checked before the list or any binomial is built.
         assert len(reconstruct_diagonal([1], COUNT_BOUND)) == COUNT_BOUND
+        assert len(reconstruct_diagonal([1] * 316, 316)) == 316
         with pytest.raises(CapacityError):
             reconstruct_diagonal([1], COUNT_BOUND + 1)
         with pytest.raises(CapacityError):
             reconstruct_diagonal([1], 10**9)
+        # A row as long as the length is bounded by its terms, not its
+        # length alone: this one would take minutes.
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            reconstruct_diagonal([1] * 5000, 5000)
+        assert time.perf_counter() - start < 1
 
 
 class TestWeightedSums:

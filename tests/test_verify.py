@@ -155,21 +155,30 @@ class TestCounters:
 
     @pytest.mark.parametrize("rooted", [True, False])
     @pytest.mark.parametrize("m", range(11))
-    def test_block_sums_yield_the_inner_pairs(self, m, rooted):
-        # b = max B runs over 1..m-1; the pairs B = {0} and B = A are left
-        # to the callers.  Row i, column j is B_i + C_j, the sets of each
-        # axis in mask order.
+    def test_block_pairs_yield_the_inner_pairs(self, monkeypatch, m, rooted):
+        # Read back as (B_i, A), the flagged entries are every inner pair
+        # (B, B + C), 0 < max B < m, once each: fill and dedupe together,
+        # with chunks that end inside rows and span several rows.  The
+        # pairs B = {0} and B = A are left to the callers.
         first = 1 if rooted else 0
-        seen = []
-        for b, rows in verify._block_sums(m, rooted):
-            seen.append(b)
-            assert rows.dtype == np.int32
-            assert rows.shape == (1 << (b - first), 1 << (m - b - first)), b
-            assert rows.min() >= 1 << m and rows.max() < 2 << m, b
-            if m <= 7:
-                bs, cs = (range(1 << t | first, 2 << t, 1 + first) for t in (b, m - b))
-                assert rows.tolist() == [[_sum_masks(x, y) for y in cs] for x in bs], b
-        assert seen == list(range(1, m))
+        expected = set()
+        for b in range(1, m):
+            bs, cs = (range(1 << t | first, 2 << t, 1 + first) for t in (b, m - b))
+            expected |= {(x, _sum_masks(x, y)) for x in bs for y in cs}
+        for chunk in (verify._CHUNK, 24, 3):
+            monkeypatch.setattr(verify, "_CHUNK", chunk)
+            seen, pairs = [], []
+            for b, s, width, part, distinct in verify._block_pairs(m, rooted):
+                if b not in seen:
+                    seen.append(b)
+                assert width == 1 << (m - b - first), (chunk, b)
+                assert part.min() >= 1 << m and part.max() < 2 << m, (chunk, b)
+                for p in distinct.nonzero()[0].tolist():
+                    row = (s + p) // width
+                    pairs.append((1 << b | row << first | first, int(part[p])))
+            assert seen == list(range(1, m)), chunk
+            assert len(pairs) == len(set(pairs)), chunk
+            assert set(pairs) == expected, chunk
 
     def test_general_table_matches_library(self):
         # The all-pairs blocks hold d of every nonempty set.
