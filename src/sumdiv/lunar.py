@@ -6,11 +6,11 @@ index.  Display order is most-significant first with an explicit base
 annotation, e.g. "12468@10"; above base 10 the digits are separated by
 colons, e.g. "10:0@11".  Text is parsed in bases up to 10.
 
-Base-2 divisor lists are the sumset divisors of beta_inv(n), so they
-run on the pruned set search of sumdiv.sets, under its element bound of
-63 (at most 64 digits).  Bases >= 3 try every candidate digit string
-against the quotient-max test.  One budget, sets.NODE_BUDGET, bounds
-both: search nodes in base 2, base ** length candidates above it.
+Base 2 runs on the pruned set search of sumdiv.sets, under its element
+bound of 63 (at most 64 digits): d_2(n) = d(beta_inv(n)) streams it, and
+only the list builds a number per divisor.  Bases >= 3 try every candidate
+digit string against the quotient-max test.  One budget, sets.NODE_BUDGET,
+bounds both: search nodes in base 2, base ** length candidates above it.
 """
 
 from __future__ import annotations
@@ -284,5 +284,7 @@ def _binary_divisor_masks(n: LunarNumber) -> list[int]:
 
 
 def lunar_divisor_count(n: LunarNumber) -> int:
-    """d_b(n), the number of lunar divisors of n."""
+    """d_b(n), the number of lunar divisors of n; base 2 lists none."""
+    if n.base == 2 and not n.is_zero:
+        return sets.divisor_count(beta_inv(n))
     return len(lunar_divisors(n))

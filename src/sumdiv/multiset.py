@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 from .errors import ParseError, PreconditionError
 from .lunar import LunarNumber, lunar_divides, lunar_divisors
-from .sets import EMPTY, FiniteSet, _divisor_masks, _natural, _naturals, sumset
+from .sets import EMPTY, FiniteSet, _core_divisor_masks, _natural, _naturals, sumset
 
 # SetArray.parse's language: one coordinate "{...}" holds no brace, and a
 # body is a parenthesized, comma-separated list of coordinates.
@@ -163,9 +163,9 @@ def setarray_divides(y: SetArray, x: SetArray) -> bool:
 
 def setarray_divisors(x: SetArray) -> list[SetArray]:
     """All same-height divisors of x: the lunar divisors of beta_b(x), read
-    back as chains.  At height 1 these are the sumset divisors of x's one
-    set, from the set search.  CapacityError past sets.NODE_BUDGET: search
-    nodes at height 1, and above it (height+1)^(max+1) candidates.
+    back as chains.  CapacityError past sets.NODE_BUDGET: search nodes and
+    NODE_BUDGET / 2 listed divisors at height 1, (height+1)^(max+1)
+    candidates above it.  setarray_divisor_count_formula lists none.
     """
     if x.is_zero:
         raise PreconditionError("the zero multiset has no divisor list")
@@ -178,11 +178,12 @@ def setarray_divisors(x: SetArray) -> list[SetArray]:
 
 
 def setarray_divisor_count_formula(a: FiniteSet, b: int) -> int:
-    """Divisor count of the set-array (a, {}, ..., {}) of height b.
+    """Divisor count of (a, {}, ..., {}) at height b, in one search pass.
 
     Each divisor B of a contributes one divisor per descending chain below
-    it, i.e. b ** |B| in total.
+    it, b ** |B| in all; the min(a) + 1 shifts of a core divisor share its size.
     """
     if b < 1:
         raise PreconditionError("height must be >= 1")
-    return sum(b ** mask.bit_count() for mask in _divisor_masks(a))
+    r = a.min
+    return (r + 1) * sum(b ** m.bit_count() for m in _core_divisor_masks(a.mask >> r))

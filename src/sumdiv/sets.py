@@ -322,10 +322,10 @@ def _listing_key(mask: int) -> int:
 def _divisor_masks(a: FiniteSet) -> list[int]:
     """The masks of all sumset divisors of nonempty a, unordered.
 
-    Reduces to the 0-rooted core a - {min a}: every 0-rooted divisor of a
-    0-rooted set is one of its subsets containing 0, and each divisor B of
-    the core lifts to the r+1 divisors B + {j}, 0 <= j <= min(a).
-    CapacityError past NODE_BUDGET search nodes or NODE_BUDGET / 2 divisors.
+    Each divisor B of the 0-rooted core a - {min a} lifts to the r+1
+    divisors B + {j} of a, 0 <= j <= r = min(a).  CapacityError past
+    NODE_BUDGET search nodes or NODE_BUDGET / 2 divisors, a cap on lists
+    only: the counts stream _core_divisor_masks and list nothing.
     """
     r = a.min
     found = list(_core_divisor_masks(a.mask >> r))

@@ -539,8 +539,8 @@ def run_target(name: str, **params) -> VerificationReport:
     kwargs = {}
     for key, (default, bound) in target.sizes.items():
         value = default if params.get(key) is None else params[key]
-        if value < 0:
-            raise PreconditionError(f"{key} must be nonnegative, got {value}")
+        if type(value) is not int or value < 0:
+            raise PreconditionError(f"{key} must be a nonnegative int, got {value!r}")
         if value > bound:
             raise CapacityError(
                 f"{key} {value} exceeds the bound {bound} for target {name!r}"

@@ -3,6 +3,7 @@ with finite sets.
 """
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,8 @@ from sumdiv import (
     PreconditionError,
     beta,
     beta_inv,
+    divisor_count,
+    divisors,
     headstrong_count,
     identity,
     lunar_add,
@@ -296,14 +299,17 @@ class TestLunarDivisibility:
 
     def test_binary_lists_match_candidate_loop(self):
         # Base 2 runs on the set search; the candidate loop is its oracle,
-        # list and order, for every binary number of up to 10 digits.
-        for length in range(1, 11):
+        # list and order, for every binary number of up to 10 digits.  The
+        # count, which builds no list, is the list's length up to 14 digits.
+        for length in range(1, 15):
             for low in range(1 << (length - 1)):
                 low_digits = [low >> i & 1 for i in range(length - 1)]
                 n = LunarNumber(2, low_digits + [1])
-                want = list(_divisor_digits(n.digits, 2))
-                assert [d.digits for d in lunar_divisors(n)] == want, n
-                assert lunar_divisor_count(n) == len(want), n
+                divs = lunar_divisors(n)
+                assert lunar_divisor_count(n) == len(divs), n
+                if length <= 10:
+                    want = list(_divisor_digits(n.digits, 2))
+                    assert [d.digits for d in divs] == want, n
 
     def test_binary_count_of_ones_is_headstrong(self):
         # L ones is beta([L - 1]), and d([k]) = headstrong_count(k + 1).
@@ -341,12 +347,38 @@ class TestLunarDivisibility:
             lunar_divisors(LunarNumber(3, [1] * 5))
 
     def test_binary_node_budget(self, monkeypatch):
+        # d_2 shares divisor_count's cache, so it is cleared: the count
+        # must be searched for, not looked up.
         monkeypatch.setattr(sets, "NODE_BUDGET", 50)
+        sets._core_divisor_count.cache_clear()
         n = LunarNumber(2, [1] * 16)
         with pytest.raises(CapacityError):
             lunar_divisors(n)
         with pytest.raises(CapacityError):
             lunar_divisor_count(n)
+
+    def test_binary_count_past_the_listing_cap(self):
+        # {44, ..., 63} has 45 * d([19]) = 3 310 290 divisors, past the cap
+        # of 2^21 on lists; the counts stream the search and are not capped.
+        a = FiniteSet(range(44, 64))
+        assert lunar_divisor_count(beta(a)) == divisor_count(a) == 3_310_290
+        assert setarray_divisor_count_formula(a, 1) == 3_310_290
+        with pytest.raises(CapacityError):
+            lunar_divisors(beta(a))
+        with pytest.raises(CapacityError):
+            divisors(a)
+
+    def test_binary_count_builds_no_list(self):
+        # 18 ones have d([17]) = 20 388 divisors; the count holds none of
+        # them, where a count of the list would trace about 5 MB.
+        sets._core_divisor_count.cache_clear()
+        tracemalloc.start()
+        try:
+            assert lunar_divisor_count(LunarNumber(2, [1] * 18)) == headstrong_count(18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_ordering(self):
         divs = lunar_divisors(ln("1110@2"))
@@ -357,7 +389,5 @@ class TestLunarDivisibility:
     @settings(max_examples=30, deadline=None)
     def test_binary_divisor_count_matches_sets(self, a):
         # d(A) = d_2(beta(A)) through the correspondence.
-        from sumdiv import divisor_count
-
         x = FiniteSet(a)
         assert divisor_count(x) == lunar_divisor_count(beta(x))

@@ -25,6 +25,7 @@ from sumdiv import (
     setarray_divisors,
     star_collapse,
     to_set_array,
+    weighted_row_sum,
 )
 
 from .oracles import naive_multisum, naive_setarray_divides
@@ -237,12 +238,25 @@ class TestDivisorCounts:
                 )
 
     def test_formula_closed_form(self):
-        for elems in ((0, 1), (0, 2), (0, 1, 2)):
-            a = FiniteSet(elems)
-            for b in (2, 3, 4):
+        # The formula sums over the core's divisor search without listing
+        # a's divisors; it must agree with the list for every nonempty A
+        # within [10].
+        for mask in range(1, 1 << 11):
+            a = FiniteSet.from_mask(mask)
+            sizes = [len(d) for d in divisors(a)]
+            for b in (1, 2, 3, 4):
                 assert setarray_divisor_count_formula(a, b) == sum(
-                    b ** len(d) for d in divisors(a)
-                )
+                    b**size for size in sizes
+                ), (a, b)
+
+    @pytest.mark.stretch
+    def test_formula_past_the_listing_cap_stretch(self):
+        # [25+] = {1, ..., 25} has 2 * d([24]) = 3 785 750 divisors,
+        # past the cap of 2^21 on lists; (min + 1) * sum of 2^|B| over the
+        # divisors of [24] is 2 * weighted_row_sum(25, 2).
+        a = FiniteSet(range(1, 26))
+        assert setarray_divisor_count_formula(a, 2) == 2 * weighted_row_sum(25, 2)
+        assert 2 * weighted_row_sum(25, 2) == 121_646_075_044
 
     def test_divisor_lists_match_naive(self):
         # Every height-2 x with max <= 3, against every nonzero chain in

@@ -216,6 +216,25 @@ REFUSALS = {
     "interval(-1)": (sumdiv.PreconditionError, partial(sumdiv.interval, -1)),
     "LunarNumber(1)": (sumdiv.PreconditionError, partial(sumdiv.LunarNumber, 1)),
     "parse 1@x": (sumdiv.ParseError, partial(sumdiv.LunarNumber.parse, "1@x")),
+    "headstrong_count(0)": (sumdiv.PreconditionError, partial(sumdiv.headstrong_count, 0)),
+    "bounded_comp_count(5, 0, 1)": (
+        sumdiv.PreconditionError,
+        partial(sumdiv.bounded_comp_count, 5, 0, 1),
+    ),
+    "reconstruct_diagonal([1], 0)": (
+        sumdiv.PreconditionError,
+        partial(sumdiv.reconstruct_diagonal, [1], 0),
+    ),
+    "weighted_row_sum(0, 2)": (sumdiv.PreconditionError, partial(sumdiv.weighted_row_sum, 0, 2)),
+    "to_set_array({}, 0)": (sumdiv.PreconditionError, partial(sumdiv.to_set_array, {}, 0)),
+    "setarray_divisor_count_formula height 0": (
+        sumdiv.PreconditionError,
+        partial(sumdiv.setarray_divisor_count_formula, sumdiv.FiniteSet([0]), 0),
+    ),
+    "FiniteSet.from_mask(-1)": (
+        sumdiv.PreconditionError,
+        partial(sumdiv.FiniteSet.from_mask, -1),
+    ),
 }
 
 

@@ -14,6 +14,7 @@ from sumdiv import (
     divisor_count,
     interval,
     promote,
+    promotion,
     promoted_family,
     sumset,
     verify_promotion_disjointness,
@@ -211,6 +212,29 @@ class TestDisjointness:
                 if a != full and k >= 3:
                     want = want and witness_factor(k, a) not in union
                 assert verify_promotion_disjointness(a, k) == want, (a, k)
+
+    @pytest.mark.parametrize(
+        "planted_member",
+        [
+            (0, 1, 2),  # the family of {0, 1, 2}: an overlap
+            (0, 5),  # not a divisor of [6]
+            (0, 1, 3, 5),  # the witness factor of A
+        ],
+    )
+    def test_reports_planted_fault(self, monkeypatch, planted_member):
+        # Within A = {0, 1, 2, 4, 5, 6} and k = 6, the family of {0, 4} is
+        # {{0, 1, 4}}.  Promote {0, 4} to the planted member instead: each
+        # breaks one of the three checks, and the verdict turns False.
+        a, k = fs(0, 1, 2, 4, 5, 6), 6
+        victim, stolen = fs(0, 4).mask, FiniteSet(planted_member).mask
+        family = promotion._family
+
+        def planted(b, missing, top, low):
+            return [stolen] if b == victim else family(b, missing, top, low)
+
+        assert verify_promotion_disjointness(a, k)
+        monkeypatch.setattr(promotion, "_family", planted)
+        assert not verify_promotion_disjointness(a, k)
 
     def test_family_sizes_sum_to_d(self):
         # Family disjointness is what makes d(a) <= d([k]): the union of

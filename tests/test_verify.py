@@ -7,6 +7,7 @@ divisor lists.
 
 import argparse
 import inspect
+import io
 import itertools
 import json
 import subprocess
@@ -315,6 +316,30 @@ class TestDispatch:
             run_target("crlodd", max_k=-1)
         with pytest.raises(PreconditionError):
             run_target("crlodd", max_k=4, promotion_max_k=-1)
+        # A size that is not an int is refused before any work, bool too.
+        for size in (2.5, "3", True):
+            with pytest.raises(PreconditionError):
+                run_target("pi2", max_k=size)
+            with pytest.raises(PreconditionError):
+                run_target("crlodd", max_k=4, promotion_max_k=size)
+
+    def test_crleven_reports_planted_rival(self, monkeypatch, fresh_blocks):
+        # Raise {0, 2, 5} to 2 d([4]) = 16, past d([5]) = 14: at k = 5 it
+        # ties with [5+] = {1, ..., 5}, and that k must be the one row.
+        block_counts = verify._block_counts
+
+        def planted(m, rooted=True):
+            counts = block_counts(m, rooted)
+            if rooted and m == 5:
+                counts[0b0010] = 16  # {0, 2, 5} = 1 | 1 << 5 | 0b0010 << 1
+            return counts
+
+        monkeypatch.setattr(verify, "_block_counts", planted)
+        r = run_target("crleven", max_k=5)
+        assert r.status == "fail"
+        assert r.counterexamples == [
+            {"k": 5, "max_d": 16, "maximizers": ["{0, 2, 5}", "{1, 2, 3, 4, 5}"]}
+        ]
 
     def test_range_upper_bounds(self):
         for name in THEOREM_TARGETS + CONJECTURE_TARGETS:
@@ -541,6 +566,24 @@ class TestDispatch:
             {"set": "{0, 2, 3}", "height": 3, "oracle": formula + 1, "formula": formula}
         ]
 
+    def test_bases_reports_planted_maximum_mismatch(self, monkeypatch):
+        # A wrong height-2 count for ([6], {}) must surface as exactly one
+        # mismatch with the formula at k = 6.  [6] is past the formula
+        # sets, whose elements are at most 5, so no formula record shows.
+        full = interval(6).mask
+        chain_table = verify._chain_table
+
+        def planted(max_k, height):
+            table = chain_table(max_k, height)
+            if height == 2:
+                table[full] += 1
+            return table
+
+        monkeypatch.setattr(verify, "_chain_table", planted)
+        r = run_target("bases", max_k=6)
+        assert r.status == "fail"
+        assert r.counterexamples == [{"k": 6, "issue": "formula mismatch at [k]_2"}]
+
     def test_odd2_prediction_rows(self):
         r = run_target("odd2", max_k=8)
         for row in r.details["rows"]:
@@ -570,3 +613,20 @@ def test_peak_rss_is_the_process_own():
         timeout=60,
     )
     assert 0 < json.loads(out.stdout)["meta"]["peak_rss_mb"] < 100
+
+
+@pytest.mark.parametrize("status", [None, "Name:\tpython\n"])
+def test_peak_rss_without_proc(monkeypatch, status):
+    # With no /proc, or no VmHWM line in its status file, the peak is
+    # ru_maxrss, which only grows.
+    import resource
+
+    def no_proc(path, *args, **kwargs):
+        if status is None:
+            raise FileNotFoundError(path)
+        return io.StringIO(status)
+
+    monkeypatch.setattr(verify, "open", no_proc, raising=False)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = verify._peak_rss_kib()
+    assert 0 < before <= peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
