@@ -9,8 +9,9 @@ colons, e.g. "10:0@11".  Text is parsed in bases up to 10.
 Base 2 runs on the pruned set search of sumdiv.sets, under its element
 bound of 63 (at most 64 digits): d_2(n) = d(beta_inv(n)) streams it, and
 only the list builds a number per divisor.  Bases >= 3 try every candidate
-digit string against the quotient-max test.  One budget, sets.NODE_BUDGET,
-bounds both: search nodes in base 2, base ** length candidates above it.
+digit string against the quotient-max test, and the count streams them as
+well.  One budget, sets.NODE_BUDGET, bounds both: search nodes in base 2,
+base ** length candidates above it.
 """
 
 from __future__ import annotations
@@ -217,7 +218,13 @@ def _divides_digits(yd: tuple, nd: tuple, top: int) -> bool:
 
 def _divisor_digits(nd: tuple, base: int):
     """The canonical divisors of nonzero nd, ordered by (length, digit
-    string)."""
+    string).  CapacityError before any candidate is tried past
+    sets.NODE_BUDGET candidates, base ** len(nd)."""
+    if base ** len(nd) > sets.NODE_BUDGET:
+        raise CapacityError(
+            f"divisor enumeration over base {base}, length {len(nd)} exceeds "
+            f"the budget of {sets.NODE_BUDGET} candidates"
+        )
     top = base - 1
     for length in range(1, len(nd) + 1):
         # Digit ranges, most significant first, so product order is string
@@ -265,11 +272,6 @@ def lunar_divisors(n: LunarNumber) -> list[LunarNumber]:
         raise PreconditionError("lunar zero has no divisor list")
     if n.base == 2:
         return [_binary_from_mask(m) for m in _binary_divisor_masks(n)]
-    if n.base ** len(n) > sets.NODE_BUDGET:
-        raise CapacityError(
-            f"divisor enumeration over base {n.base}, length {len(n)} exceeds "
-            f"the budget of {sets.NODE_BUDGET} candidates"
-        )
     return [
         LunarNumber(n.base, yd) for yd in _divisor_digits(n.digits, n.base)
     ]
@@ -284,7 +286,10 @@ def _binary_divisor_masks(n: LunarNumber) -> list[int]:
 
 
 def lunar_divisor_count(n: LunarNumber) -> int:
-    """d_b(n), the number of lunar divisors of n; base 2 lists none."""
-    if n.base == 2 and not n.is_zero:
+    """d_b(n), the number of lunar divisors of n, under lunar_divisors'
+    bounds; no base lists them."""
+    if n.is_zero:
+        raise PreconditionError("lunar zero has no divisor list")
+    if n.base == 2:
         return sets.divisor_count(beta_inv(n))
-    return len(lunar_divisors(n))
+    return sum(1 for _ in _divisor_digits(n.digits, n.base))

@@ -10,6 +10,7 @@ and irreducibility, share one pruned search over the divisors of the
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from typing import Iterable, Iterator
 
@@ -325,18 +326,17 @@ def _divisor_masks(a: FiniteSet) -> list[int]:
     Each divisor B of the 0-rooted core a - {min a} lifts to the r+1
     divisors B + {j} of a, 0 <= j <= r = min(a).  CapacityError past
     NODE_BUDGET search nodes or NODE_BUDGET / 2 divisors, a cap on lists
-    only: the counts stream _core_divisor_masks and list nothing.
+    only: the counts stream _core_divisor_masks and list nothing.  The
+    search stops at the first core divisor past the cap.
     """
     r = a.min
-    found = list(_core_divisor_masks(a.mask >> r))
     # A listed divisor costs about as much time as two search nodes, and
     # 1.97 million, those of {1, ..., 24}, is the most any set with max
     # at most 24 has.
-    if len(found) * (r + 1) > NODE_BUDGET // 2:
-        raise CapacityError(
-            f"{a} has {len(found) * (r + 1)} divisors, more than "
-            f"{NODE_BUDGET // 2} to list"
-        )
+    cap = NODE_BUDGET // 2 // (r + 1)
+    found = list(itertools.islice(_core_divisor_masks(a.mask >> r), cap + 1))
+    if len(found) > cap:
+        raise CapacityError(f"{a} has more than {NODE_BUDGET // 2} divisors to list")
     return [b0 << j for b0 in found for j in range(r + 1)]
 
 

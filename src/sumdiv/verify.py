@@ -6,14 +6,13 @@ divisor counts (numpy, imported only when a sweep runs), run one block of
 sets with max A = m at a time.  A block does not depend on any target's
 range, so each process reduces a rooted block once to the summary that
 crlodd, crleven, odd2 and pi2 read: its top and second d with the sets
-reaching them, d([m]) and its count of d = 2.  crlodd sieves a block again
-only to list a rival of [k].  One generator, _block_pairs, fills the
-sums B + C of a block one b = max B at a time, sorts them and marks its
-distinct divisor pairs (B, A): the counts add them up, and crlodd's
-promotion phase applies the family rule to each of them once.  The pairs
-B = {0} and B = A, which every set has, are never sieved: the counts add
-them as 2 and the promotion phase applies the family rule to them as to
-the sieved pairs.
+reaching them, d([m]), every set with d >= d([m]) and its count of d = 2.
+One generator, _block_pairs, fills the sums B + C of a block one b = max B
+at a time, sorts them and marks its distinct divisor pairs (B, A): the
+counts add them up, and crlodd's promotion phase applies the family rule
+to each of them once.  The pairs B = {0} and B = A, which every set has,
+are never sieved: the counts add them as 2 and the promotion phase applies
+the family rule to them as to the sieved pairs.
 L15 streams whole blocks, and checks the rooted ones, through the
 translation lemma, against the blocks sieved over all pairs.  bases runs a
 pure-Python pair sieve over multisets packed as chains of sets, so it
@@ -170,6 +169,7 @@ class _Block(NamedTuple):
     second: int  # the next largest d, 0 when there is none
     second_masks: tuple
     full: int  # d([m])
+    leaders: tuple  # (mask, d) of each set with d >= d([m]), ascending
     twos: int  # how many have d = 2, the irreducible ones for m >= 1
 
 
@@ -183,14 +183,16 @@ def _block_summary(m: int) -> _Block:
     def masks(i) -> tuple:
         return tuple((i << 1 | base).tolist())
 
-    top = int(counts.max())
-    top_at = (counts == top).nonzero()[0]
     full = int(counts[-1])
+    at = (counts >= full).nonzero()[0]  # [m] is one, so the top sets are too
+    leaders = tuple(zip(masks(at), counts[at].tolist()))
+    top = max(d for _, d in leaders)
+    top_at = at[counts[at] == top]
     twos = int((counts == 2).sum())
     counts[top_at] = 0
     second = int(counts.max())
     second_at = (counts == second).nonzero()[0] if second else top_at[:0]
-    return _Block(top, masks(top_at), second, masks(second_at), full, twos)
+    return _Block(top, masks(top_at), second, masks(second_at), full, leaders, twos)
 
 
 def _set_text(mask: int) -> str:
@@ -282,16 +284,12 @@ def run_crlodd(max_k: int, promotion_max_k: int) -> tuple[list, dict]:
     blocks_start = time.perf_counter()
     full = (2 << max_k) - 1
     limit = _block_summary(max_k).full
+    # A rival is among its block's leaders while d([m]) <= limit, as
+    # d([m]) = H(m + 1) keeps it; a block past limit still reports [m].
     for m in range(max_k + 1):
-        block = _block_summary(m)
-        if block.top < limit or block.top_masks == (full,):
-            continue
-        # A rival: sieve the block again to list every set reaching limit.
-        counts = _block_counts(m)
-        for i in (counts >= limit).nonzero()[0].tolist():
-            mask = 1 << m | i << 1 | 1
-            if mask != full:
-                bad.append({"set": _set_text(mask), "d": int(counts[i]), "limit": limit})
+        for mask, d in _block_summary(m).leaders:
+            if d >= limit and mask != full:
+                bad.append({"set": _set_text(mask), "d": d, "limit": limit})
     bad.sort(key=lambda c: (c.get("k", -1), c["set"]))
     _PHASES.update(promotion=blocks_start - start, blocks=time.perf_counter() - blocks_start)
     return bad, {"d_full_interval": limit}
@@ -482,19 +480,19 @@ class _Target(NamedTuple):
 
 
 # One row per target.  Bounds are checked before any work starts, and are
-# set by memory, measured in a fresh process on 2 cores.  A table target
-# holds one block at a time: the counts of block m (4 * 2^(m-1) bytes) and
-# one b's sums (4 * 2^(m-2) bytes).  crlodd, crleven and pi2 read blocks
-# up to max_k: 0.6 s and 51 MB at 22, 4.4-5.6 s and 138-154 MB at 25,
-# 10-11 s and 234-250 MB at 26 (the whole-range table took 1.3-1.5 s and
-# 209 MB at 22).  odd2 reads blocks up to max_k - 1: 10 s and 250 MB at 27.
-# L15 also keeps every rooted block and sieves 2^m sums per b for all
-# pairs: 3.3 s and 102 MB at 22, 6.7 s and 162 MB at 23, 12 s and 282 MB
-# at 24.  bases keeps d for 3^(max_k+1) multisets and peaks near 130 MB at
-# max_k = 11 (370 MB at 12).  crlodd's promotion phase holds one block's
-# distinct pairs and one k's keys: 0.6-0.7 s and 133 MB at
-# promotion_max_k = 20, 1.3-1.4 s and 239 MB at 21.  It runs before the
-# blocks.
+# set by memory, measured in a fresh process on 2 cores; the figures at
+# the bounds are BENCH_verify.json's.  A table target holds one block at a
+# time: the counts of block m (4 * 2^(m-1) bytes) and one b's sums
+# (4 * 2^(m-2) bytes).  crlodd, crleven and pi2 read blocks up to max_k:
+# 0.6 s and 51 MB at 22, 4.4-5.6 s and 138-154 MB at 25, 7.2-7.9 s and
+# 231-247 MB at 26 (the whole-range table took 1.3-1.5 s and 209 MB at
+# 22).  odd2 reads blocks up to max_k - 1: 7.9 s and 247 MB at 27.  L15
+# also keeps every rooted block and sieves 2^m sums per b for all pairs:
+# 3.3 s and 102 MB at 22, 6.7 s and 162 MB at 23, 10.1 s and 279 MB at 24.
+# bases keeps d for 3^(max_k+1) multisets: 5.7 s and 133 MB at max_k = 11
+# (370 MB at 12).  crlodd's promotion phase holds one block's distinct
+# pairs and one k's keys: 0.6-0.7 s and 133 MB at promotion_max_k = 20,
+# 1.3-1.4 s and 239 MB at 21.  It runs before the blocks.
 _TARGETS = {
     "crlodd": _Target(run_crlodd, {"max_k": (14, 26), "promotion_max_k": (10, 20)}),
     "crleven": _Target(run_crleven, {"max_k": (12, 26)}),

@@ -2,6 +2,7 @@
 with finite sets.
 """
 
+import itertools
 import time
 import tracemalloc
 
@@ -21,6 +22,7 @@ from sumdiv import (
     divisors,
     headstrong_count,
     identity,
+    lunar,
     lunar_add,
     lunar_divides,
     lunar_divisor_count,
@@ -290,8 +292,30 @@ class TestLunarDivisibility:
         assert lunar_divisor_count(ln("11@3")) == 6
 
     def test_divisors_of_zero_rejected(self):
-        with pytest.raises(PreconditionError):
-            lunar_divisors(LunarNumber(2))
+        for base in (2, 3):
+            with pytest.raises(PreconditionError):
+                lunar_divisors(LunarNumber(base))
+            with pytest.raises(PreconditionError):
+                lunar_divisor_count(LunarNumber(base))
+
+    @staticmethod
+    def _counts_match_lists(base: int, max_len: int):
+        for length in range(1, max_len + 1):
+            for low in itertools.product(range(base), repeat=length - 1):
+                for top in range(1, base):
+                    n = LunarNumber(base, low + (top,))
+                    assert lunar_divisor_count(n) == len(lunar_divisors(n)), n
+
+    def test_counts_match_lists_in_bases_3_to_5(self):
+        # The count streams the candidate loop: every nonzero number of up
+        # to 5 digits in bases 3 and 4, and of up to 4 in base 5.
+        for base, max_len in ((3, 5), (4, 5), (5, 4)):
+            self._counts_match_lists(base, max_len)
+
+    @pytest.mark.stretch
+    def test_counts_match_lists_in_base_5_stretch(self):
+        # The 5-digit numbers in base 5 take about 17 s.
+        self._counts_match_lists(5, 5)
 
     def test_enum_budget(self):
         with pytest.raises(CapacityError):
@@ -343,8 +367,11 @@ class TestLunarDivisibility:
         assert lunar_divisor_count(four_ones) == setarray_divisor_count_formula(
             FiniteSet(range(4)), 2
         )
-        with pytest.raises(CapacityError):
-            lunar_divisors(LunarNumber(3, [1] * 5))
+        # Past it the list and the count refuse before trying a candidate.
+        monkeypatch.setattr(lunar, "_divides_digits", None)
+        for refused in (lunar_divisors, lunar_divisor_count):
+            with pytest.raises(CapacityError):
+                refused(LunarNumber(3, [1] * 5))
 
     def test_binary_node_budget(self, monkeypatch):
         # d_2 shares divisor_count's cache, so it is cleared: the count

@@ -385,6 +385,23 @@ class TestDivisors:
         with pytest.raises(CapacityError):
             divisors(interval(8).shifted(40))
 
+    def test_listing_budget_stops_the_search(self, monkeypatch):
+        # The cap of 2000 listed divisors allows 2000 // 41 = 48 of the
+        # core's 77: the list refuses at the 49th, without searching on.
+        monkeypatch.setattr(sets, "NODE_BUDGET", 4000)
+        search = sets._core_divisor_masks
+        drawn = []
+
+        def spy(core):
+            for b in search(core):
+                drawn.append(b)
+                yield b
+
+        monkeypatch.setattr(sets, "_core_divisor_masks", spy)
+        with pytest.raises(CapacityError, match="more than 2000 divisors to list"):
+            divisors(interval(8).shifted(40))
+        assert len(drawn) == 49
+
 
 class TestIrreducible:
     def test_small_cases(self):

@@ -90,12 +90,14 @@ def _oracle_summary(table, m: int) -> tuple:
     d = {mask: int(table[mask]) for mask in masks}
     top = max(d.values())
     second = max((v for v in d.values() if v < top), default=0)
+    full = d[(2 << m) - 1]
     return (
         top,
         tuple(mask for mask in masks if d[mask] == top),
         second,
         tuple(mask for mask in masks if second and d[mask] == second),
-        d[(2 << m) - 1],
+        full,
+        tuple((mask, d[mask]) for mask in masks if d[mask] >= full),
         sum(v == 2 for v in d.values()),
     )
 
@@ -458,12 +460,9 @@ class TestDispatch:
         assert r.status == "fail"
         assert r.counterexamples == sorted(want, key=lambda c: c["set"])
 
-    def test_crlodd_lists_planted_rivals(self, monkeypatch, fresh_blocks):
-        # Raise {0, 2, 5} to d([6]) and {0, 1, 2, 3, 4, 6} past it: the
-        # block summaries flag blocks 5 and 6, and their re-sieve must list
-        # exactly these two rivals of [6].
-        limit = headstrong_count(7)
-        rivals = {0b100101: limit, 0b1011111: limit + 5}
+    @staticmethod
+    def _plant_rivals(monkeypatch, rivals: dict):
+        # Rooted block counts with each mask of rivals raised to its d.
         block_counts = verify._block_counts
 
         def planted(m, rooted=True):
@@ -474,6 +473,13 @@ class TestDispatch:
             return counts
 
         monkeypatch.setattr(verify, "_block_counts", planted)
+
+    def test_crlodd_lists_planted_rivals(self, monkeypatch, fresh_blocks):
+        # Raise {0, 2, 5} to d([6]) and {0, 1, 2, 3, 4, 6} past it: the
+        # block summaries of blocks 5 and 6 keep them, and crlodd must list
+        # exactly these two rivals of [6], sieving each block once.
+        limit = headstrong_count(7)
+        self._plant_rivals(monkeypatch, {0b100101: limit, 0b1011111: limit + 5})
         r = run_target("crlodd", max_k=6, promotion_max_k=0)
         assert r.status == "fail"
         assert r.details == {"d_full_interval": limit}
@@ -481,6 +487,21 @@ class TestDispatch:
             {"set": "{0, 1, 2, 3, 4, 6}", "d": limit + 5, "limit": limit},
             {"set": "{0, 2, 5}", "d": limit, "limit": limit},
         ]
+        assert r.meta["blocks_sieved"] == 7
+
+    def test_crlodd_lists_rivals_below_the_top(self, monkeypatch, fresh_blocks):
+        # Two rivals of [7] in block 5 with different d, both past d([5]):
+        # the summary keeps every set at or above d([m]), not only its top
+        # sets, so the lower one is listed too.
+        limit = headstrong_count(8)
+        self._plant_rivals(monkeypatch, {0b100101: limit, 0b101011: limit + 3})
+        r = run_target("crlodd", max_k=7, promotion_max_k=0)
+        assert _block_summary(5).top_masks == (0b101011,)
+        assert r.counterexamples == [
+            {"set": "{0, 1, 3, 5}", "d": limit + 3, "limit": limit},
+            {"set": "{0, 2, 5}", "d": limit, "limit": limit},
+        ]
+        assert r.meta["blocks_sieved"] == 8
 
     def test_later_targets_reuse_block_summaries(self, monkeypatch, fresh_blocks):
         # crlodd sieves blocks 0..14; the table targets after it in the
