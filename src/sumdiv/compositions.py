@@ -12,26 +12,21 @@ from math import comb
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
+from . import sets
 from .errors import CapacityError, PreconditionError
 from .sets import FiniteSet, divides, interval
 
-# enumerate_headstrong takes n <= ENUMERATION_BOUND.  Listing the
-# compositions of n with `compositions n`, output to /dev/null, takes
-# 8.7-11.9 s and 280 MB at 24 and 18.5-23.2 s and 526 MB at 25, each in a
-# fresh process on 2 shared cores; 26 took 40 s and 1183 MB.
-ENUMERATION_BOUND = 25
 # Composition counts take totals below this bound: n, cols <= COUNT_BOUND in
 # headstrong_count(n) and f_table(rows, cols), whose fill up to total t holds
 # about t^2 / 2 bits, and n < COUNT_BOUND in bounded_comp_count (0.6 s).
 COUNT_BOUND = 5000
-# The H triangle up to row n costs about n^3 / 12 products of big integers:
-# cold, h_table takes 0.05 s at n = 150, 0.23-0.25 s at 250 and 0.33-0.48 s
-# at 300, each in a fresh process on 2 cores.  headstrong_by_parts,
-# weighted_row_sum and h_table take n, rows <= TRIANGLE_BOUND.
-TRIANGLE_BOUND = 250
-# f_table(rows, cols) takes rows * cols <= CELL_BOUND.  Row n holds numbers
-# of about cols - n bits, so the widest tables are the largest: 20 x 5000
-# prints 69 million digits (1.5 s, 184 MB peak with the plain format).
+# Every composition table obeys CELL_BOUND, checked before any work:
+# f_table(rows, cols) takes rows * cols <= CELL_BOUND; row n holds numbers
+# of about cols - n bits, so 20 x 5000 prints 69 million digits (1.5 s,
+# 184 MB peak with the plain format).  The H triangle takes its n(n + 1) / 2
+# cells, 446 rows, about n^3 / 12 big-integer products (cold, 1.2 s and
+# 27 MB in a fresh process on 2 cores).  difference_table refuses at the
+# first row past CELL_BOUND cells, its input included.
 # reconstruct_diagonal(row, length) takes min(len(row), length) * length <=
 # CELL_BOUND terms row[k] * C(n - 1, k): 316 x 316 takes 0.10 s and 20 x
 # 5000 0.07 s, where 500 x 500 took 0.5-0.7 s and 1000 x 1000 5.4 s, each
@@ -88,6 +83,12 @@ def _check_total(total: int) -> None:
         )
 
 
+def _check_cells(cells: int, what: str, *args: int) -> None:
+    """The one cap on composition tables; what % args names the table."""
+    if cells > CELL_BOUND:
+        raise CapacityError(f"{what % args} exceeds the cell cap ({cells} > {CELL_BOUND})")
+
+
 def _bounded_counts(cap: int, total: int) -> list[int]:
     """Compositions of j with every part <= cap, for j = 0, ..., total.
 
@@ -134,11 +135,7 @@ def _h_rows(n: int) -> list[list[int]]:
     """_H with at least n rows.  Row r > 1 is 1, H(r, m) for 1 < m < r,
     then 1, where H(r, m) = sum_j H(r - m, j) * C(m - 1, j - 1), j <= m:
     a filled row dotted with a row of Pascal's triangle."""
-    if n > TRIANGLE_BOUND:
-        raise CapacityError(
-            f"the headstrong triangle up to n = {n} exceeds the budget "
-            f"(n <= {TRIANGLE_BOUND})"
-        )
+    _check_cells(n * (n + 1) // 2, "the headstrong triangle up to n = %d", n)
     with _H_LOCK:
         if len(_H) < n:
             pascal = [[comb(m, i) for i in range(m + 1)] for m in range(n)]
@@ -189,13 +186,17 @@ def _bounded_parts(n: int, cap: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_headstrong(n: int) -> list[Composition]:
-    """All headstrong compositions of n, ordered by (length, parts)."""
+    """All headstrong compositions of n, ordered by (length, parts).  As
+    many as the divisors of [n - 1], they obey the cap on divisor lists:
+    CapacityError, before any is built, for n - 1 > sets.ELEMENT_BOUND or
+    h(n) > sets.NODE_BUDGET / 2."""
     if n < 1:
         raise PreconditionError("enumerate_headstrong needs n >= 1")
-    if n > ENUMERATION_BOUND:
+    cap = sets.NODE_BUDGET // 2
+    if n - 1 > sets.ELEMENT_BOUND or headstrong_count(n) > cap:
         raise CapacityError(
             f"enumerating headstrong compositions of {n} exceeds the "
-            f"budget (n <= {ENUMERATION_BOUND})"
+            f"budget of {cap} listed compositions"
         )
     out = [
         Composition((first, *rest))
@@ -241,12 +242,16 @@ def difference_table(seq: Sequence[int]) -> list[list[int]]:
     """Iterated forward differences, starting from the sequence itself.
 
     Stops when a row has length 1, or early at the first all-zero row.
+    CapacityError at the first row past CELL_BOUND cells, input included.
     """
     if not seq:
         raise PreconditionError("difference_table needs a nonempty sequence")
     rows = [list(seq)]
+    cells = len(seq)
     while len(rows[-1]) > 1:
         prev = rows[-1]
+        cells += len(prev) - 1
+        _check_cells(cells, "the difference table of %d terms", len(seq))
         nxt = [prev[i + 1] - prev[i] for i in range(len(prev) - 1)]
         rows.append(nxt)
         if all(v == 0 for v in nxt):
@@ -265,11 +270,10 @@ def reconstruct_diagonal(row: Sequence[int], length: int) -> list[int]:
         raise PreconditionError("reconstruct_diagonal needs length >= 1")
     if length > COUNT_BOUND:
         raise CapacityError(f"reconstruct_diagonal needs length <= {COUNT_BOUND}")
-    if min(len(row), length) * length > CELL_BOUND:
-        raise CapacityError(
-            f"reconstructing {length} terms from a row of {len(row)} exceeds the "
-            f"budget (min(len(row), length) * length <= {CELL_BOUND})"
-        )
+    _check_cells(
+        min(len(row), length) * length,
+        "reconstructing %d terms from a row of %d", length, len(row),
+    )
     return [
         sum(row[k] * comb(n - 1, k) for k in range(min(len(row), n)))
         for n in range(1, length + 1)
@@ -287,11 +291,7 @@ def f_table(rows: int, cols: int) -> list[list[int]]:
     """The rectangular table F(n, k) for 1 <= n <= rows, 1 <= k <= cols."""
     if rows < 1 or cols < 1:
         raise PreconditionError("the F table needs rows, cols >= 1")
-    if rows * cols > CELL_BOUND:
-        raise CapacityError(
-            f"an F table of {rows} x {cols} cells exceeds the budget "
-            f"(rows * cols <= {CELL_BOUND})"
-        )
+    _check_cells(rows * cols, "an F table of %d x %d", rows, cols)
     return [
         [0] * (n - 1) + _bounded_counts(n, cols - n)
         if n <= cols

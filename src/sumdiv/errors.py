@@ -24,8 +24,8 @@ class PreconditionError(DomainError):
 
 class CapacityError(DomainError):
     """A size past a bound.  This covers every bound constant:
-    ELEMENT_BOUND and NODE_BUDGET (sets; the latter bounds lunar divisor
-    lists too), MUL_DIGIT_BUDGET (lunar), ENUMERATION_BOUND, COUNT_BOUND,
-    TRIANGLE_BOUND and CELL_BOUND (compositions; the last bounds the cells
-    of f_table and the terms of reconstruct_diagonal), and each verify
-    target's bounds on its size parameters."""
+    ELEMENT_BOUND and NODE_BUDGET (sets; the latter bounds every divisor
+    list, lunar and headstrong lists too), MUL_DIGIT_BUDGET (lunar),
+    COUNT_BOUND and CELL_BOUND (compositions; the last bounds every table:
+    f_table, the H triangle, difference_table, reconstruct_diagonal's
+    terms), and each verify target's bounds on its size parameters."""

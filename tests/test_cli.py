@@ -296,6 +296,8 @@ class TestExitCodes:
             ("compositions", "5001", "--count"),
             # {44, ..., 63} has 45 * d([19]) divisors, too many to list.
             ("divisors", ",".join(map(str, range(44, 64)))),
+            # 447 rows of the triangle hold 100 128 cells.
+            ("table", "H", "--rows", "447"),
         ],
     )
     def test_size_budget_error_is_1(self, capsys, argv):
@@ -393,8 +395,8 @@ class TestExitCodes:
             assert (proc.wait(timeout=60), err) == (1, b"")
 
     def test_enumeration_bound_checked_first(self, capsys, monkeypatch):
-        # Listing the compositions of 26 takes 40 s and 1.2 GB; the bound
-        # must refuse it before any composition is built.
+        # h(26) = 3 643 570 is 1.9 times h(25), whose list takes 11-15 s and
+        # 527 MB; the cap must refuse it before any composition is built.
         def no_work(*args):
             raise AssertionError("enumeration started")
 
@@ -403,7 +405,7 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == (
             "error: enumerating headstrong compositions of 26 exceeds the "
-            "budget (n <= 25)\n"
+            "budget of 2097152 listed compositions\n"
         )
 
     def test_deep_headstrong_count(self, capsys):

@@ -2,6 +2,7 @@
 divisors, and difference-table reconstruction.
 """
 
+import random
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,8 +32,8 @@ from sumdiv import (
     sumset,
     weighted_row_sum,
 )
-from sumdiv import compositions
-from sumdiv.compositions import CELL_BOUND, COUNT_BOUND, TRIANGLE_BOUND
+from sumdiv import compositions, sets
+from sumdiv.compositions import CELL_BOUND, COUNT_BOUND
 
 from .oracles import naive_headstrong
 
@@ -173,18 +174,25 @@ class TestDeepCounts:
             h_table(0)
 
     def test_triangle_bound(self, monkeypatch):
-        # Past the bound every reader of the triangle refuses before any
-        # row is filled.
+        # The triangle up to row n holds n(n + 1) / 2 cells: 446 rows fit
+        # CELL_BOUND and 447 (100 128 cells) do not.  Past the bound every
+        # reader of the triangle refuses before any row is filled.
         monkeypatch.setattr(compositions, "_H", [[1]])
-        n = TRIANGLE_BOUND + 1
-        calls = ((h_table, (n,)), (headstrong_by_parts, (n, 2)), (weighted_row_sum, (n, 2)))
-        for call, args in calls:
-            with pytest.raises(CapacityError):
-                call(*args)
-            assert compositions._H == [[1]]
+        assert 446 * 447 // 2 <= CELL_BOUND < 447 * 448 // 2
+        for n in (447, 10**12):
+            calls = ((h_table, (n,)), (headstrong_by_parts, (n, 2)), (weighted_row_sum, (n, 2)))
+            for call, args in calls:
+                with pytest.raises(CapacityError):
+                    call(*args)
+                assert compositions._H == [[1]]
+        # Under a lowered cap the derived bound is 20 rows (210 cells).
+        monkeypatch.setattr(compositions, "CELL_BOUND", 230)
+        with pytest.raises(CapacityError):
+            h_table(21)
+        assert compositions._H == [[1]]
         # H(n, 2) = floor(n / 2); cold, every row up to the bound is filled.
-        assert headstrong_by_parts(TRIANGLE_BOUND, 2) == TRIANGLE_BOUND // 2
-        assert len(compositions._H) == TRIANGLE_BOUND
+        assert headstrong_by_parts(20, 2) == 10
+        assert len(compositions._H) == 20
 
     def test_threads_fill_the_triangle_once(self, monkeypatch):
         # Threads racing to fill a cold triangle append each row once.
@@ -216,6 +224,39 @@ class TestDeepCounts:
         with pytest.raises(CapacityError):
             f_table(3000, 3000)
         assert len(f_table(CELL_BOUND // 10, 10)) == CELL_BOUND // 10
+
+    def test_one_patch_lowers_every_table(self, monkeypatch):
+        # CELL_BOUND is read at call time: one patch moves the bound of the
+        # F table, the H triangle, the difference table and the
+        # reconstruction together.  55 cells hold 10 rows of a triangle.
+        monkeypatch.setattr(compositions, "_H", [[1]])
+        monkeypatch.setattr(compositions, "CELL_BOUND", 55)
+        assert len(f_table(5, 11)) == 5
+        assert len(h_table(10)) == 10
+        assert len(difference_table([k * k * k for k in range(10)])) == 5
+        assert len(difference_table([2**k for k in range(10)])) == 10
+        assert len(reconstruct_diagonal([1] * 5, 11)) == 11
+        refusals = (
+            (f_table, (8, 7)),
+            (h_table, (11,)),
+            (difference_table, ([2**k for k in range(11)],)),
+            (reconstruct_diagonal, ([1] * 7, 8)),
+        )
+        for call, args in refusals:
+            with pytest.raises(CapacityError):
+                call(*args)
+        assert len(compositions._H) == 10
+
+    @pytest.mark.stretch
+    def test_cold_triangle_at_cell_bound_stretch(self, monkeypatch):
+        # A cold fill of all 446 rows (about 1 s); H(n, 2) = floor(n / 2).
+        monkeypatch.setattr(compositions, "_H", [[1]])
+        table = h_table(446)
+        assert [len(row) for row in table] == list(range(1, 447))
+        assert table[-1][:2] == [1, 223]
+        assert sum(table[-1]) == headstrong_count(446)
+        with pytest.raises(CapacityError):
+            h_table(447)
 
 
 class TestBoundedCounts:
@@ -275,9 +316,36 @@ class TestEnumeration:
         keys = [(len(c.parts), c.parts) for c in comps]
         assert keys == sorted(keys)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        # The list obeys the divisor lists' cap, NODE_BUDGET / 2 = 2^21:
+        # h(25) = d([24]) = 1 892 875 fits and h(26) = 3 643 570 does not.
+        # The refusal comes before any composition is built.
+        assert headstrong_count(25) <= sets.NODE_BUDGET // 2 < headstrong_count(26)
+
+        def no_work(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(compositions, "_bounded_parts", no_work)
+        for n in (26, 27, 65, 10**12):
+            with pytest.raises(CapacityError):
+                enumerate_headstrong(n)
+
+    def test_cap_follows_node_budget(self, monkeypatch):
+        # One patch of sets.NODE_BUDGET lowers the cap: 2 * 140 allows
+        # h(10) = 140 and refuses h(11) = 256 with nothing enumerated.
+        monkeypatch.setattr(sets, "NODE_BUDGET", 2 * 140)
+        assert len(enumerate_headstrong(10)) == 140
+        built = []
+        monkeypatch.setattr(compositions, "Composition", built.append)
         with pytest.raises(CapacityError):
-            enumerate_headstrong(27)
+            enumerate_headstrong(11)
+        assert built == []
+
+    @pytest.mark.stretch
+    def test_list_at_cap_stretch(self):
+        # The largest list the cap allows: 1 892 875 compositions (11-15 s
+        # and 527 MB in a fresh process).
+        assert len(enumerate_headstrong(25)) == headstrong_count(25) == 1_892_875
 
 
 class TestBijection:
@@ -328,6 +396,16 @@ class TestDifferenceTables:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             difference_table([])
+
+    def test_cell_bound(self):
+        # A random sequence of 447 terms reaches no zero row: its table
+        # would hold 447 * 448 / 2 = 100 128 cells.  A longer one that
+        # reaches its zero row early is answered.
+        rng = random.Random(447)
+        with pytest.raises(CapacityError):
+            difference_table([rng.randrange(-(10**9), 10**9) for _ in range(447)])
+        rows = difference_table(list(range(10_000)))
+        assert rows == [list(range(10_000)), [1] * 9999, [0] * 9998]
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=8))
     def test_first_column_reconstructs(self, seq):

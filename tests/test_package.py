@@ -191,7 +191,7 @@ REFUSALS = {
         ),
     ),
     "headstrong_count(5001)": (sumdiv.CapacityError, partial(sumdiv.headstrong_count, 5001)),
-    "h_table(251)": (sumdiv.CapacityError, partial(sumdiv.h_table, 251)),
+    "h_table(447)": (sumdiv.CapacityError, partial(sumdiv.h_table, 447)),
     "f_table(1000, 1000)": (sumdiv.CapacityError, partial(sumdiv.f_table, 1000, 1000)),
     "enumerate_headstrong(26)": (
         sumdiv.CapacityError,
