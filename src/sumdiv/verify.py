@@ -518,8 +518,10 @@ def _peak_rss_kib() -> int:
             return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
     except (OSError, StopIteration):
         import resource
+        import sys
 
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak // 1024 if sys.platform == "darwin" else peak  # macOS counts bytes
 
 
 def run_target(name: str, **params) -> VerificationReport:

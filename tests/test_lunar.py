@@ -4,7 +4,6 @@ with finite sets.
 
 import itertools
 import time
-import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +21,7 @@ from sumdiv import (
     divisors,
     headstrong_count,
     identity,
+    interval,
     lunar,
     lunar_add,
     lunar_divides,
@@ -35,6 +35,7 @@ from sumdiv import (
 )
 from sumdiv.lunar import _divisor_digits
 
+from .fresh import fresh
 from .oracles import naive_lunar_divides, naive_lunar_divisors, naive_lunar_mul
 
 
@@ -396,16 +397,28 @@ class TestLunarDivisibility:
             divisors(a)
 
     def test_binary_count_builds_no_list(self):
-        # 18 ones have d([17]) = 20 388 divisors; the count holds none of
-        # them, where a count of the list would trace about 5 MB.
-        sets._core_divisor_count.cache_clear()
-        tracemalloc.start()
-        try:
-            assert lunar_divisor_count(LunarNumber(2, [1] * 18)) == headstrong_count(18)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        # d_2 of 22 ones streams the set search in a fresh process and lists
+        # none of its 268 066 divisors: the peak stays near the 13 MB
+        # measured on 2 cores, where a count that builds the list peaks
+        # near 88 MB.
+        out, peak = fresh(
+            "from sumdiv import LunarNumber, lunar_divisor_count\n"
+            "print(lunar_divisor_count(LunarNumber(2, [1] * 22)))"
+        )
+        assert int(out) == headstrong_count(22)
+        assert peak is None or peak <= 30 << 10, peak
+
+    def test_base_3_count_builds_no_list(self):
+        # d_3 of 12 ones streams the candidate loop: the sum-multiset
+        # correspondence at height 2 gives the chain count of [11].  Its
+        # 75 514 divisors are counted at a peak near the 14 MB measured on
+        # 2 cores, where a count of the list peaks near 27 MB.
+        out, peak = fresh(
+            "from sumdiv import LunarNumber, lunar_divisor_count\n"
+            "print(lunar_divisor_count(LunarNumber(3, [1] * 12)))"
+        )
+        assert int(out) == setarray_divisor_count_formula(interval(11), 2)
+        assert peak is None or peak <= 20 << 10, peak
 
     def test_ordering(self):
         divs = lunar_divisors(ln("1110@2"))

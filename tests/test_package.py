@@ -5,15 +5,12 @@ object on first use, and each command loads only the modules it runs.
 import importlib
 import json
 from functools import partial
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import sumdiv
 
-SRC = str(Path(sumdiv.__file__).resolve().parents[1])
+from .fresh import fresh
 
 # Each module and the public names it owns.
 OWNERS = {
@@ -50,19 +47,6 @@ OWNERS = {
 NAMES = sorted(name for names in OWNERS.values() for name in names)
 
 
-def _fresh(code: str) -> str:
-    """stdout of code run in a fresh interpreter that finds sumdiv in src/."""
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": SRC},
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=60,
-    )
-    return out.stdout
-
-
 def test_namespace():
     assert len(NAMES) == 52
     assert sorted(sumdiv.__all__) == NAMES
@@ -73,13 +57,13 @@ def test_namespace():
     with pytest.raises(AttributeError):
         sumdiv.nosuch  # noqa: B018
     # dir lists every name before any is used.
-    listed = json.loads(_fresh("import json, sumdiv; print(json.dumps(dir(sumdiv)))"))
+    listed = json.loads(fresh("import json, sumdiv; print(json.dumps(dir(sumdiv)))")[0])
     assert set(NAMES) <= set(listed)
 
 
 def test_submodules_after_a_plain_import():
     code = "import sumdiv\nprint(sumdiv.verify.__name__, sumdiv.lunar.lunar_mul.__module__)"
-    assert _fresh(code).split() == ["sumdiv.verify", "sumdiv.lunar"]
+    assert fresh(code)[0].split() == ["sumdiv.verify", "sumdiv.lunar"]
 
 
 BASE = ["cli", "errors", "sets"]
@@ -117,7 +101,7 @@ def test_modules_each_command_loads():
             "print(sorted(m[7:] for m in sys.modules if m.startswith('sumdiv.')),"
             " *(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')))"
         )
-        out = _fresh(code).splitlines()[-1]
+        out = fresh(code)[0].splitlines()[-1]
         assert out == f"{sorted(modules)!r} {numpy} {dataclasses} {numpy}", (imports, argv)
 
 

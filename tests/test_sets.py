@@ -312,6 +312,14 @@ class TestDivisors:
         with pytest.raises(CapacityError):
             divisors(interval(12))
 
+    def test_node_count_of_interval_18(self, monkeypatch):
+        # d([18]) takes exactly 86 906 nodes.  d([24]) takes 98.3 % of the
+        # real budget, so a change that adds nodes fails here first; one
+        # that prunes more still passes.
+        monkeypatch.setattr(sets, "NODE_BUDGET", 86_906)
+        sets._core_divisor_count.cache_clear()
+        assert divisor_count(interval(18)) == headstrong_count(19) == 38_674
+
     def test_pruned_on_the_cofactor_max(self, monkeypatch):
         # S53 takes 8254 nodes and S51 3648; a cached count would skip
         # the search.
