@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .sets import FiniteSet, _divides_mask, _divisor_masks, divides, interval
+from .sets import FiniteSet, _core_divisor_masks, _divides_mask, divides, interval
 
 
 class PromotedFamily(NamedTuple):
@@ -98,20 +98,19 @@ def verify_promotion_disjointness(a: FiniteSet, k: int) -> bool:
 
     True iff the promoted families of all divisors of a are pairwise
     disjoint, every member divides [k], and (for proper a, k >= 3) the
-    witness factor avoids their union.
+    witness factor avoids their union.  The divisors stream from the one
+    search, a being its own core, and the check stops at the first member
+    seen before or not dividing [k]; CapacityError past NODE_BUDGET search
+    nodes.
     """
     _check_zero_rooted_in(a, k)
     full = interval(k).mask
     missing = full & ~a.mask
     seen: set[int] = set()
-    total = 0
-    for b in _divisor_masks(a):
+    for b in _core_divisor_masks(a.mask):
         top = b.bit_length() - 1
-        members = set(_family(b, missing, top, a.max - top))
-        if not all(_divides_mask(m, full) for m in members):
-            return False
-        total += len(members)
-        seen.update(members)
-    if len(seen) != total:
-        return False
+        for m in set(_family(b, missing, top, a.max - top)):
+            if m in seen or not _divides_mask(m, full):
+                return False
+            seen.add(m)
     return a.mask == full or k < 3 or witness_factor(k, a).mask not in seen
