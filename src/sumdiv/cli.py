@@ -32,7 +32,6 @@ from .sets import (
 # command imports only what it runs.
 if TYPE_CHECKING:
     from .compositions import Composition
-    from .lunar import LunarNumber
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -89,20 +88,6 @@ def _set_json(s: FiniteSet) -> str:
     return "[" + _elements_text(s.mask) + "]"
 
 
-def _lunar_json(n: LunarNumber) -> str:
-    return f'"{n}"'  # digits and "@" need no escaping
-
-
-# A base-2 lunar divisor listed as its mask, digit i at bit i.
-
-def _binary_text(mask: int) -> str:
-    return f"{mask:b}@2"  # str of the LunarNumber
-
-
-def _binary_json(mask: int) -> str:
-    return f'"{mask:b}@2"'
-
-
 def _composition_json(c: Composition) -> str:
     return "[" + ", ".join(map(str, c.parts)) + "]"
 
@@ -152,17 +137,14 @@ def _cmd_lunar(args) -> int:
         _emit(args, str(result), str(result))
     else:  # divisors
         n = lunar.LunarNumber.parse(args.x)
-        if n.base == 2 and not n.is_zero:  # no LunarNumber per divisor
-            divs = lunar._binary_divisor_masks(n)
-            plain, quoted = _binary_text, _binary_json
-        else:
-            divs = lunar.lunar_divisors(n)
-            plain, quoted = str, _lunar_json
-        if args.json:
+        divs, _, spell = lunar._divisor_listing(n)  # no number per divisor
+        at = f"@{n.base}"
+        if args.json:  # digits and "@" need no escaping
             head = f'{{"count": {len(divs)}, "divisors": ['
-            _write_listing(divs, quoted, ", ", head, "]}\n")
+            _write_listing(divs, lambda d: f'"{spell(d)}{at}"', ", ", head, "]}\n")
         else:
-            _write_listing(divs, plain, "\n", "", f"\ncount: {len(divs)}\n")
+            tail = f"\ncount: {len(divs)}\n"
+            _write_listing(divs, lambda d: spell(d) + at, "\n", "", tail)
     return EXIT_OK
 
 

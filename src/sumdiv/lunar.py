@@ -7,15 +7,17 @@ annotation, e.g. "12468@10"; above base 10 the digits are separated by
 colons, e.g. "10:0@11".  Text is parsed in bases up to 10.
 
 Base 2 runs on the pruned set search of sumdiv.sets, under its element
-bound of 63 (at most 64 digits): d_2(n) = d(beta_inv(n)) streams it, and
-only the list builds a number per divisor.  Bases >= 3 try every candidate
-digit string against the quotient-max test, and the count streams them as
-well.  One budget, sets.NODE_BUDGET, bounds both: search nodes in base 2,
-base ** length candidates above it.
+bound of 63 (at most 64 digits), and d_2(n) = d(beta_inv(n)) streams it.
+Bases >= 3 try every candidate digit string against the quotient-max
+test, and the count streams them as well.  _divisor_listing holds the
+same split for lists: lunar_divisors builds a number per item, and the
+CLI spells the items without one.  One budget, sets.NODE_BUDGET, bounds
+both: search nodes in base 2, base ** length candidates above it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import Iterable
@@ -97,8 +99,7 @@ class LunarNumber:
 
     def __str__(self) -> str:
         if self._base <= 10:
-            digits = bytes(reversed(self._digits))
-            body = digits.translate(_DIGIT_CHARS).decode()
+            body = _digit_text(self._digits)
         else:  # a digit may take two characters, so digits are separated
             body = ":".join(map(str, reversed(self._digits)))
         return f"{body or '0'}@{self._base}"
@@ -117,17 +118,26 @@ class LunarNumber:
         return hash((self._base, self._digits))
 
 
+def _digit_text(digits: tuple) -> str:
+    """Digits 0-9, least-significant first, spelt most-significant first."""
+    return bytes(digits[::-1]).translate(_DIGIT_CHARS).decode()
+
+
+def _canonical(base: int, digits: tuple) -> LunarNumber:
+    """The number with these canonical digits, not re-checked."""
+    out = object.__new__(LunarNumber)
+    out._base = base
+    out._digits = digits
+    return out
+
+
 def _binary_from_mask(mask: int) -> LunarNumber:
-    """The base-2 number with digit i = bit i of a positive mask, built
-    without re-checking its digits."""
+    """The base-2 number with digit i = bit i of a positive mask."""
     digits = ()
     while mask > 255:
         digits += _BYTE_DIGITS[mask & 255]
         mask >>= 8
-    out = object.__new__(LunarNumber)
-    out._base = 2
-    out._digits = digits + _BYTE_DIGITS[mask][: mask.bit_length()]
-    return out
+    return _canonical(2, digits + _BYTE_DIGITS[mask][: mask.bit_length()])
 
 
 def _require_same_base(x: LunarNumber, y: LunarNumber) -> None:
@@ -260,29 +270,30 @@ def lunar_divides(y: LunarNumber, n: LunarNumber) -> bool:
     return _divides_digits(y.digits, n.digits, n.base - 1)
 
 
-def lunar_divisors(n: LunarNumber) -> list[LunarNumber]:
-    """All canonical y with y (x) z = n, ordered by (length, digit string).
-
-    Base 2 lists the sumset divisors of beta_inv(n), whose ascending masks
-    are exactly that order; other bases try every candidate.  CapacityError
-    past the set search's bounds in base 2, and past sets.NODE_BUDGET
-    candidates, base ** length, in the others.
-    """
+def _divisor_listing(n: LunarNumber):
+    """The divisors of nonzero n in lunar_divisors' order, as items, with
+    one function that builds an item's LunarNumber and one that spells its
+    digits (bases up to 10).  Base 2 lists the ascending masks of the
+    sumset divisors of beta_inv(n), which are exactly that order; the other
+    bases list the digit tuples of the candidate loop."""
     if n.is_zero:
         raise PreconditionError("lunar zero has no divisor list")
     if n.base == 2:
-        return [_binary_from_mask(m) for m in _binary_divisor_masks(n)]
-    return [
-        LunarNumber(n.base, yd) for yd in _divisor_digits(n.digits, n.base)
-    ]
+        masks = _divisor_masks(beta_inv(n))
+        masks.sort()
+        return masks, _binary_from_mask, "{:b}".format
+    digits = list(_divisor_digits(n.digits, n.base))
+    return digits, functools.partial(_canonical, n.base), _digit_text
 
 
-def _binary_divisor_masks(n: LunarNumber) -> list[int]:
-    """The divisors of a nonzero base-2 n as ascending masks, digit i at
-    bit i: lunar_divisors' order, without a LunarNumber per divisor."""
-    masks = _divisor_masks(beta_inv(n))
-    masks.sort()
-    return masks
+def lunar_divisors(n: LunarNumber) -> list[LunarNumber]:
+    """All canonical y with y (x) z = n, ordered by (length, digit string).
+
+    CapacityError past the set search's bounds in base 2, and past
+    sets.NODE_BUDGET candidates, base ** length, in the others.
+    """
+    items, build, _ = _divisor_listing(n)
+    return [build(i) for i in items]
 
 
 def lunar_divisor_count(n: LunarNumber) -> int:

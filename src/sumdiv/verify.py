@@ -282,17 +282,20 @@ def run_crlodd(max_k: int, promotion_max_k: int) -> tuple[list, dict]:
     start = time.perf_counter()
     bad = _promotion_failures(promotion_max_k)  # first, so the peaks never add
     blocks_start = time.perf_counter()
-    full = (2 << max_k) - 1
-    limit = _block_summary(max_k).full
-    # A rival is among its block's leaders while d([m]) <= limit, as
-    # d([m]) = H(m + 1) keeps it; a block past limit still reports [m].
-    for m in range(max_k + 1):
-        for mask, d in _block_summary(m).leaders:
-            if d >= limit and mask != full:
-                bad.append({"set": _set_text(mask), "d": d, "limit": limit})
-    bad.sort(key=lambda c: (c.get("k", -1), c["set"]))
+    # A rival of [k] in block m <= k is among the block's leaders while
+    # d([m]) <= d([k]), as d([m]) = H(m + 1) keeps it; a block past d([k])
+    # still reports [m].
+    for k in range(max_k + 1):
+        full, limit = (2 << k) - 1, _block_summary(k).full
+        for m in range(k + 1):
+            for mask, d in _block_summary(m).leaders:
+                if d >= limit and mask != full:
+                    bad.append(
+                        {"k": k, "set": _set_text(mask), "d": d, "limit": limit}
+                    )
+    bad.sort(key=lambda c: (c["k"], c["set"]))
     _PHASES.update(promotion=blocks_start - start, blocks=time.perf_counter() - blocks_start)
-    return bad, {"d_full_interval": limit}
+    return bad, {"d_full_interval": _block_summary(max_k).full}
 
 
 def run_crleven(max_k: int) -> tuple[list, dict]:
@@ -485,14 +488,14 @@ class _Target(NamedTuple):
 # time: the counts of block m (4 * 2^(m-1) bytes) and one b's sums
 # (4 * 2^(m-2) bytes).  crlodd, crleven and pi2 read blocks up to max_k:
 # 0.6 s and 51 MB at 22, 4.4-5.6 s and 138-154 MB at 25, 7.2-7.9 s and
-# 231-247 MB at 26 (the whole-range table took 1.3-1.5 s and 209 MB at
-# 22).  odd2 reads blocks up to max_k - 1: 7.9 s and 247 MB at 27.  L15
-# also keeps every rooted block and sieves 2^m sums per b for all pairs:
-# 3.3 s and 102 MB at 22, 6.7 s and 162 MB at 23, 10.1 s and 279 MB at 24.
-# bases keeps d for 3^(max_k+1) multisets: 5.7 s and 133 MB at max_k = 11
-# (370 MB at 12).  crlodd's promotion phase holds one block's distinct
-# pairs and one k's keys: 0.6-0.7 s and 133 MB at promotion_max_k = 20,
-# 1.3-1.4 s and 239 MB at 21.  It runs before the blocks.
+# 231-247 MB at 26.  odd2 reads blocks up to max_k - 1: 7.9 s and 247 MB
+# at 27.  L15 also keeps every rooted block and sieves 2^m sums per b for
+# all pairs: 3.3 s and 102 MB at 22, 6.7 s and 162 MB at 23, 10.1 s and
+# 279 MB at 24.  bases keeps d for 3^(max_k+1) multisets: 5.7 s and
+# 133 MB at max_k = 11 (370 MB at 12).  crlodd's promotion phase holds
+# one block's distinct pairs and one k's keys: 0.6-0.7 s and 133 MB at
+# promotion_max_k = 20, 1.3-1.4 s and 239 MB at 21.  It runs before the
+# blocks.
 _TARGETS = {
     "crlodd": _Target(run_crlodd, {"max_k": (14, 26), "promotion_max_k": (10, 20)}),
     "crleven": _Target(run_crleven, {"max_k": (12, 26)}),

@@ -537,6 +537,20 @@ class TestStreamedListings:
             expected = self._lunar_text(n, as_json)
             assert (code, capsys.readouterr().out) == (0, expected), n
 
+    def test_lunar_divisors_build_no_number_each(self, capsys, monkeypatch):
+        # 10111@6 has 630 divisors; the one LunarNumber built is the parsed n.
+        built = []
+        init = LunarNumber.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(LunarNumber, "__init__", counted)
+        assert main(["lunar", "divisors", "10111@6", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 630
+        assert len(built) == 1
+
     @pytest.mark.usefixtures("small_chunk")
     @pytest.mark.parametrize("as_json", [False, True])
     def test_compositions(self, capsys, as_json):

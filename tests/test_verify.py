@@ -488,31 +488,46 @@ class TestDispatch:
     def test_crlodd_lists_planted_rivals(self, monkeypatch, fresh_blocks):
         # Raise {0, 2, 5} to d([6]) and {0, 1, 2, 3, 4, 6} past it: the
         # block summaries of blocks 5 and 6 keep them, and crlodd must list
-        # exactly these two rivals of [6], sieving each block once.
+        # exactly these rivals, of [5] and of [6], sieving each block once.
         limit = headstrong_count(7)
         self._plant_rivals(monkeypatch, {0b100101: limit, 0b1011111: limit + 5})
         r = run_target("crlodd", max_k=6, promotion_max_k=0)
         assert r.status == "fail"
         assert r.details == {"d_full_interval": limit}
         assert r.counterexamples == [
-            {"set": "{0, 1, 2, 3, 4, 6}", "d": limit + 5, "limit": limit},
-            {"set": "{0, 2, 5}", "d": limit, "limit": limit},
+            {"k": 5, "set": "{0, 2, 5}", "d": limit, "limit": headstrong_count(6)},
+            {"k": 6, "set": "{0, 1, 2, 3, 4, 6}", "d": limit + 5, "limit": limit},
+            {"k": 6, "set": "{0, 2, 5}", "d": limit, "limit": limit},
         ]
         assert r.meta["blocks_sieved"] == 7
 
     def test_crlodd_lists_rivals_below_the_top(self, monkeypatch, fresh_blocks):
-        # Two rivals of [7] in block 5 with different d, both past d([5]):
-        # the summary keeps every set at or above d([m]), not only its top
-        # sets, so the lower one is listed too.
+        # Two rivals in block 5 with different d, both past d([7]): the
+        # summary keeps every set at or above d([m]), not only its top
+        # sets, so the lower one is listed too, at every k from 5 to 7.
         limit = headstrong_count(8)
         self._plant_rivals(monkeypatch, {0b100101: limit, 0b101011: limit + 3})
         r = run_target("crlodd", max_k=7, promotion_max_k=0)
         assert _block_summary(5).top_masks == (0b101011,)
         assert r.counterexamples == [
-            {"set": "{0, 1, 3, 5}", "d": limit + 3, "limit": limit},
-            {"set": "{0, 2, 5}", "d": limit, "limit": limit},
+            {"k": k, "set": s, "d": d, "limit": headstrong_count(k + 1)}
+            for k in (5, 6, 7)
+            for s, d in (("{0, 1, 3, 5}", limit + 3), ("{0, 2, 5}", limit))
         ]
         assert r.meta["blocks_sieved"] == 8
+
+    def test_crlodd_checks_every_k_up_to_max_k(self, monkeypatch, fresh_blocks):
+        # {0, 2, 5} raised to d([6]) ties [6] and beats [5], but stays below
+        # d([7]): checking only k = 7 would miss both.
+        d6 = headstrong_count(7)
+        self._plant_rivals(monkeypatch, {0b100101: d6})
+        r = run_target("crlodd", max_k=7, promotion_max_k=0)
+        assert r.status == "fail"
+        assert r.details == {"d_full_interval": headstrong_count(8)}
+        assert r.counterexamples == [
+            {"k": 5, "set": "{0, 2, 5}", "d": d6, "limit": headstrong_count(6)},
+            {"k": 6, "set": "{0, 2, 5}", "d": d6, "limit": d6},
+        ]
 
     def test_later_targets_reuse_block_summaries(self, monkeypatch, fresh_blocks):
         # crlodd sieves blocks 0..14; the table targets after it in the
