@@ -54,17 +54,6 @@ def parse_set(text: str) -> FiniteSet:
     return FiniteSet(_naturals(text, "set element"))
 
 
-def _emit(args, plain: str, payload) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(plain)
-
-
-def _set_payload(s: FiniteSet) -> list[int]:
-    return list(s.elements)
-
-
 # Listings are written this many items at a time, so the text of a long
 # list is never held whole.
 _CHUNK = 4096
@@ -82,7 +71,7 @@ def _write_listing(items, fmt, sep: str, head: str, tail: str) -> None:
     out.write(tail)
 
 
-# The JSON text of one listed item, as json.dumps writes it.
+# The JSON text of one set or composition, as json.dumps writes it.
 
 def _set_json(s: FiniteSet) -> str:
     return "[" + _elements_text(s.mask) + "]"
@@ -92,12 +81,23 @@ def _composition_json(c: Composition) -> str:
     return "[" + ", ".join(map(str, c.parts)) + "]"
 
 
+def _emit(args, value) -> None:
+    """Print one computed value: a set as its literal or JSON list, an int
+    or bool as its JSON text either way, a lunar number as its digit
+    string, quoted under --json."""
+    if isinstance(value, FiniteSet):
+        print(_set_json(value) if args.json else value)
+    elif isinstance(value, int):  # bool too
+        print(json.dumps(value))
+    else:
+        print(json.dumps(str(value)) if args.json else value)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
 def _cmd_sum(args) -> int:
-    result = sumset(parse_set(args.a), parse_set(args.b))
-    _emit(args, str(result), _set_payload(result))
+    _emit(args, sumset(parse_set(args.a), parse_set(args.b)))
     return EXIT_OK
 
 
@@ -111,32 +111,24 @@ def _cmd_divisors(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    d = divisor_count(parse_set(args.a))
-    _emit(args, str(d), d)
+    _emit(args, divisor_count(parse_set(args.a)))
     return EXIT_OK
 
 
 def _cmd_irreducible(args) -> int:
-    flag = is_irreducible(parse_set(args.a))
-    _emit(args, "true" if flag else "false", flag)
+    _emit(args, is_irreducible(parse_set(args.a)))
     return EXIT_OK
 
 
 def _cmd_lunar(args) -> int:
     from . import lunar
 
-    if args.lunar_op == "add":
-        result = lunar.lunar_add(
-            lunar.LunarNumber.parse(args.x), lunar.LunarNumber.parse(args.y)
-        )
-        _emit(args, str(result), str(result))
-    elif args.lunar_op == "mul":
-        result = lunar.lunar_mul(
-            lunar.LunarNumber.parse(args.x), lunar.LunarNumber.parse(args.y)
-        )
-        _emit(args, str(result), str(result))
-    else:  # divisors
-        n = lunar.LunarNumber.parse(args.x)
+    parse = lunar.LunarNumber.parse
+    if args.lunar_op != "divisors":
+        kernel = lunar.lunar_add if args.lunar_op == "add" else lunar.lunar_mul
+        _emit(args, kernel(parse(args.x), parse(args.y)))
+    else:
+        n = parse(args.x)
         divs, _, spell = lunar._divisor_listing(n)  # no number per divisor
         at = f"@{n.base}"
         if args.json:  # digits and "@" need no escaping
@@ -152,21 +144,18 @@ def _cmd_beta(args) -> int:
     from . import lunar
 
     if args.inverse:
-        s = lunar.beta_inv(lunar.LunarNumber.parse(args.value))
-        _emit(args, str(s), _set_payload(s))
+        _emit(args, lunar.beta_inv(lunar.LunarNumber.parse(args.value)))
     else:
-        n = lunar.beta(parse_set(args.value))
-        _emit(args, str(n), str(n))
+        _emit(args, lunar.beta(parse_set(args.value)))
     return EXIT_OK
 
 
 def _cmd_promote(args) -> int:
     from . import promotion
 
-    result = promotion.promote(
+    _emit(args, promotion.promote(
         parse_set(args.a), args.k, parse_set(args.factor), args.other_max
-    )
-    _emit(args, str(result), _set_payload(result))
+    ))
     return EXIT_OK
 
 
@@ -174,12 +163,10 @@ def _cmd_compositions(args) -> int:
     from . import compositions
 
     if args.parts is not None:
-        n = compositions.headstrong_by_parts(args.n, args.parts)
-        _emit(args, str(n), n)
+        _emit(args, compositions.headstrong_by_parts(args.n, args.parts))
         return EXIT_OK
     if args.count:
-        n = compositions.headstrong_count(args.n)
-        _emit(args, str(n), n)
+        _emit(args, compositions.headstrong_count(args.n))
         return EXIT_OK
     comps = compositions.enumerate_headstrong(args.n)
     if args.json:

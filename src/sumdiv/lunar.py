@@ -13,6 +13,10 @@ test, and the count streams them as well.  _divisor_listing holds the
 same split for lists: lunar_divisors builds a number per item, and the
 CLI spells the items without one.  One budget, sets.NODE_BUDGET, bounds
 both: search nodes in base 2, base ** length candidates above it.
+
+Lunar zero is no dividend: every y divides it, so lunar_divides,
+lunar_quotient_max and the divisor lists and counts refuse it with
+PreconditionError, as sumset and set-array divisibility do.
 """
 
 from __future__ import annotations
@@ -264,7 +268,11 @@ def lunar_quotient_max(n: LunarNumber, y: LunarNumber) -> LunarNumber:
 
 
 def lunar_divides(y: LunarNumber, n: LunarNumber) -> bool:
+    """Whether y (x) z = n for some z.  A zero n is refused, as every y
+    divides it (y (x) 0 = 0); a zero y divides no nonzero n."""
     _require_same_base(y, n)
+    if n.is_zero:
+        raise PreconditionError("divisibility is defined for nonzero n only")
     if y.is_zero or len(y) > len(n):
         return False
     return _divides_digits(y.digits, n.digits, n.base - 1)

@@ -285,17 +285,18 @@ def run_crlodd(max_k: int, promotion_max_k: int) -> tuple[list, dict]:
     # A rival of [k] in block m <= k is among the block's leaders while
     # d([m]) <= d([k]), as d([m]) = H(m + 1) keeps it; a block past d([k])
     # still reports [m].
+    blocks = [_block_summary(m) for m in range(max_k + 1)]
     for k in range(max_k + 1):
-        full, limit = (2 << k) - 1, _block_summary(k).full
+        full, limit = (2 << k) - 1, blocks[k].full
         for m in range(k + 1):
-            for mask, d in _block_summary(m).leaders:
+            for mask, d in blocks[m].leaders:
                 if d >= limit and mask != full:
                     bad.append(
                         {"k": k, "set": _set_text(mask), "d": d, "limit": limit}
                     )
     bad.sort(key=lambda c: (c["k"], c["set"]))
     _PHASES.update(promotion=blocks_start - start, blocks=time.perf_counter() - blocks_start)
-    return bad, {"d_full_interval": _block_summary(max_k).full}
+    return bad, {"d_full_interval": blocks[-1].full}
 
 
 def run_crleven(max_k: int) -> tuple[list, dict]:

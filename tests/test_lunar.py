@@ -250,10 +250,14 @@ class TestLunarDivisibility:
         assert lunar_mul(y, lunar_quotient_max(n, y)) == n
 
     @given(pairs_same_base(max_base=3, max_len=5))
+    @example((ln("0@3"), ln("12@3")))  # a zero n is refused
+    @example((ln("12@3"), ln("0@3")))  # a zero y divides no nonzero n
     @settings(max_examples=60, deadline=None)
     def test_divides_matches_naive(self, pair):
         n, y = pair
-        if n.is_zero:
+        if n.is_zero:  # every y divides lunar zero, so it is refused
+            with pytest.raises(PreconditionError):
+                lunar_divides(y, n)
             return
         assert lunar_divides(y, n) == naive_lunar_divides(
             y.digits, n.digits, n.base

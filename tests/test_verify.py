@@ -12,6 +12,7 @@ import itertools
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -267,6 +268,20 @@ class TestTargetTable:
         defaults = {key: default for key, (default, _) in row.sizes.items()}
         assert seen == [defaults]
         assert r.range == {**defaults, **row.fixed} == want
+
+    def test_reference_file_covers_defaults_and_bounds(self):
+        # BENCH_verify.json holds each target at its defaults, then each
+        # size parameter at its bound with the others at their defaults,
+        # so a bound that moves without a rebuilt file fails here.
+        want = []
+        for name, row in verify._TARGETS.items():
+            defaults = {key: default for key, (default, _) in row.sizes.items()}
+            want.append((name, {**defaults, **row.fixed}))
+            for key, (_, bound) in row.sizes.items():
+                want.append((name, {**defaults, key: bound, **row.fixed}))
+        with open(Path(__file__).resolve().parents[1] / "BENCH_verify.json") as f:
+            runs = json.load(f)["runs"]
+        assert [(r["target"], r["range"]) for r in runs] == want
 
     @pytest.mark.parametrize("name", _ALL_TARGETS)
     def test_planted_counterexample(self, monkeypatch, capsys, name):
@@ -555,11 +570,16 @@ class TestDispatch:
     def test_meta_reports_blocks_and_memory(self, fresh_blocks):
         # In this order, crlodd sieves the rooted blocks 0..3 and the
         # later table targets reuse them; L15 sieves 0..3 in both modes.
+        # A reused count is of blocks read again, not of lookups: crlodd
+        # reads each of its blocks once, though its rival loop visits
+        # block m for every k >= m.
         sieved = {"crlodd": 4, "crleven": 0, "L15": 8, "bases": 0, "odd2": 0, "pi2": 0}
+        reused = {"crlodd": 0, "crleven": 4, "L15": 0, "bases": 0, "odd2": 1, "pi2": 3}
         for name in _ALL_TARGETS:
             meta = run_target(name, max_k=3).to_dict()["meta"]
             assert meta["peak_rss_mb"] > 0
             assert meta["blocks_sieved"] == sieved[name], name
+            assert meta["blocks_reused"] == reused[name], name
 
     def test_bases_formula_knobs_removed(self):
         with pytest.raises(PreconditionError):
